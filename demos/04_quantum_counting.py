@@ -16,12 +16,12 @@ m = 8
 
 print("true T   estimates over 10 runs (t = 5)")
 for true_t in range(m + 1):
-    marked = set(range(true_t))
-    counts = [quantum_count(lambda x: x in marked, m, 5, rng).count for _ in range(10)]
+    marked = np.arange(m) < true_t
+    counts = [quantum_count(marked, 5, rng).count for _ in range(10)]
     print(f"  {true_t}      {counts}")
 
 # Exactly representable fractions are certain: T/m = 1/2 at t >= 2.
-runs = [quantum_count(lambda x: x < 4, m, 3, rng).count for _ in range(200)]
+runs = [quantum_count(np.arange(m) < 4, 3, rng).count for _ in range(200)]
 print(f"\nT = 4 of 8 (a = 1/2, grid-exact): {len(set(runs))} distinct outcome(s) in 200 runs")
 
 # The raw (unrounded) estimate lies within the derived tolerance in at least
@@ -29,9 +29,9 @@ print(f"\nT = 4 of 8 (a = 1/2, grid-exact): {len(set(runs))} distinct outcome(s)
 t = 5
 print("\ntrue T   tolerance   fraction within tolerance over 200 runs")
 for true_t in (1, 3, 6):
-    marked = set(range(true_t))
+    marked = np.arange(m) < true_t
     hits = sum(
-        abs(quantum_count(lambda x: x in marked, m, t, rng).raw - true_t)
+        abs(quantum_count(marked, t, rng).raw - true_t)
         <= counting_tolerance(m, true_t, t)
         for _ in range(200)
     )
@@ -41,5 +41,5 @@ for true_t in (1, 3, 6):
 from qlof import QueryLedger
 
 led = QueryLedger()
-quantum_count(lambda x: x == 0, m, 6, rng, ledger=led, label="pred")
+quantum_count(np.arange(m) == 0, 6, rng, ledger=led, charge={"pred": 1})
 print(f"\none t=6 estimate charged {led.get('pred')} predicate queries (= 2^6 - 1)")

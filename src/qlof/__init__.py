@@ -35,13 +35,12 @@ from .lof import (
     build_table,
     flag,
     k_distance,
-    lof,
     lof_all,
     lrd,
     neighborhood,
     reach_dist,
 )
-from .pipeline import ErrorBudget, OracleBundle, QuantumLofPipeline, RatioBoundError
+from .pipeline import ErrorBudget, QuantumLofPipeline, RatioBoundError
 from .primitives import (
     AmplitudeEstimate,
     CountEstimate,

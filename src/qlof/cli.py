@@ -10,7 +10,8 @@ calibrate-ae  amplitude-estimation confidence sweep
 
 Exit codes: 0 ok, 1 contract violation (flag sets differ outside the error
 margin), 2 configuration error, 3 I/O or parse error, 4 degenerate data,
-5 simulator capacity exceeded, 6 near-threshold mismatch (tolerated).
+5 simulator capacity exceeded, 6 near-threshold mismatch (tolerated),
+7 fixed-point overflow, 8 density ratio above the rotation ceiling.
 
 Every run is deterministic under (--seed, config): repeated invocations emit
 byte-identical artifacts.  Output files are written atomically
@@ -30,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ConfigError, DataParseError, DegenerateDataError, RunConfig, load_csv
+from .fixedpoint import FixedPointOverflowError
 from .lof import LofReport, flag as classical_flag
 from .ledger import QueryLedger
-from .pipeline import QuantumLofPipeline
+from .pipeline import QuantumLofPipeline, RatioBoundError
 from .primitives import amplitude_estimate
 from .qsim import CapacityError
 from .synthetic import gaussian_clusters
@@ -44,6 +46,8 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 EXIT_CAPACITY = 5
 EXIT_NEAR_THRESHOLD = 6
+EXIT_OVERFLOW = 7
+EXIT_RATIO_BOUND = 8
 
 log = logging.getLogger("qlof")
 
@@ -340,6 +344,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_CAPACITY
+    except FixedPointOverflowError as exc:
+        print(f"fixed-point overflow: {exc}; raise --fp-width", file=sys.stderr)
+        return EXIT_OVERFLOW
+    except RatioBoundError as exc:
+        print(f"{exc}; raise --ratio-safety or --ae-qubits-dist", file=sys.stderr)
+        return EXIT_RATIO_BOUND
 
 
 def console_main() -> None:  # console-script entry point

@@ -6,8 +6,9 @@ matter how many basis states it serves in superposition; this is the convention
 under which the asymptotic claims (total step-1 cost ~ m^{3/2}, Grover and
 minimum search ~ sqrt(m), ...) are checked empirically.
 
-Counters are plain nonnegative integers keyed by dotted names such as
-``"step1.o_x"``; prefix sums let callers aggregate per pipeline stage.
+Counters are positive integers keyed by dotted names such as ``"step1.o_x"``
+(a zero charge records nothing); prefix sums let callers aggregate per
+pipeline stage.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class QueryLedger:
     def charge(self, name: str, n: int = 1) -> None:
         if n < 0:
             raise ValueError("ledger charges must be nonnegative")
-        self.counts[name] = self.counts.get(name, 0) + int(n)
+        if n:
+            self.counts[name] = self.counts.get(name, 0) + int(n)
 
     def charge_many(self, costs: Mapping[str, int], factor: int = 1) -> None:
         """Charge every counter in ``costs`` scaled by ``factor``."""
@@ -37,11 +39,6 @@ class QueryLedger:
     def total(self, prefix: str = "") -> int:
         """Sum of all counters whose name starts with ``prefix``."""
         return sum(v for k, v in self.counts.items() if k.startswith(prefix))
-
-    def merge(self, other: "QueryLedger") -> None:
-        """Fold another ledger's counts into this one (per-task join)."""
-        for k, v in other.counts.items():
-            self.charge(k, v)
 
     def as_dict(self) -> dict[str, int]:
         return dict(sorted(self.counts.items()))

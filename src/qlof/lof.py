@@ -18,7 +18,6 @@ toward k.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -61,16 +60,16 @@ class NeighborhoodTable:
     def max_count(self) -> int:
         return max(r.count for r in self.rows)
 
-    def row(self, i: int) -> NeighborRow:
-        return self.rows[i]
-
 
 @dataclass(frozen=True)
 class LofReport:
     """Outlier factors and flags for a whole dataset.
 
     ``lrd`` follows the table's distance convention (normalized by default);
-    ``lof`` is convention-free.
+    ``lof`` is convention-free.  ``max_density_ratio`` is the largest
+    lrd(t)/lrd(i) over points i and their neighbors t (the rotation ceiling
+    before its safety factor); ``dist_floor_sq`` is the largest P such that
+    at least half of every point's neighbor distances are >= sqrt(P).
     """
 
     k: int
@@ -80,6 +79,8 @@ class LofReport:
     lrd: np.ndarray
     lof: np.ndarray
     flagged: np.ndarray
+    max_density_ratio: float
+    dist_floor_sq: float
 
     @property
     def n_flagged(self) -> int:
@@ -109,9 +110,6 @@ class LofReport:
             "points": self.point_dicts(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _distances(ds: Dataset, normalized: bool) -> np.ndarray:
     return normalized_distance_matrix(ds) if normalized else raw_distance_matrix(ds)
@@ -124,24 +122,16 @@ def _check_k(ds: Dataset, k: int) -> None:
 
 def k_distance(ds: Dataset, i: int, k: int, normalized: bool = True) -> float:
     """k-th smallest distance from point i to the other points."""
-    _check_k(ds, k)
-    d = _distances(ds, normalized)[i]
-    others = np.sort(np.delete(d, i))
-    return float(others[k - 1])
+    return neighborhood(ds, i, k, normalized=normalized).kdist
 
 
 def neighborhood(ds: Dataset, i: int, k: int, normalized: bool = True) -> NeighborRow:
     """All points within the k-distance of i (>= k members, more on ties)."""
-    _check_k(ds, k)
-    d = _distances(ds, normalized)[i]
-    kd = k_distance(ds, i, k, normalized=normalized)
-    members = [int(t) for t in range(ds.m) if t != i and d[t] <= kd]
-    return NeighborRow(kdist=kd, neighbors=members, dists=[float(d[t]) for t in members])
+    return build_table(ds, k, normalized=normalized).rows[i]
 
 
 def reach_dist(ds: Dataset, i: int, t: int, k: int, normalized: bool = True) -> float:
     """max(k-distance(t), d(i, t)): the distance, floored by t's k-distance."""
-    _check_k(ds, k)
     d = _distances(ds, normalized)[i, t]
     return float(max(k_distance(ds, t, k, normalized=normalized), d))
 
@@ -160,8 +150,9 @@ def build_table(ds: Dataset, k: int, normalized: bool = True) -> NeighborhoodTab
     return NeighborhoodTable(rows=rows, k=k, normalized=normalized)
 
 
-def _lrd_from_table(table: NeighborhoodTable) -> np.ndarray:
-    """Inverse mean reachability distance per point; rejects zero means.
+def _densities(table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray, float]:
+    """Local reachability density and outlier factor of every point, and the
+    largest neighbor-to-point density ratio; rejects zero mean reachability.
 
     Sums run in sorted-value order so the result is bitwise independent of
     point numbering (exact permutation equivariance).
@@ -177,12 +168,13 @@ def _lrd_from_table(table: NeighborhoodTable) -> np.ndarray:
                 "local reachability density is undefined"
             )
         lrd[i] = 1.0 / mean
-    return lrd
-
-
-def lrd_values(table: NeighborhoodTable) -> np.ndarray:
-    """Local reachability density of every point, in the table's convention."""
-    return _lrd_from_table(table)
+    lof = np.empty(table.m)
+    max_ratio = 0.0
+    for i, row in enumerate(table.rows):
+        ratios = sorted(lrd[t] / lrd[i] for t in row.neighbors)
+        lof[i] = sum(ratios) / row.count
+        max_ratio = max(max_ratio, float(ratios[-1]))
+    return lrd, lof, max_ratio
 
 
 def lrd(ds: Dataset, i: int, k: int, normalized: bool = True) -> float:
@@ -191,26 +183,18 @@ def lrd(ds: Dataset, i: int, k: int, normalized: bool = True) -> float:
     Scales as 1/c under coordinate scaling by c when normalized=False; the
     normalized variant is scale-invariant.
     """
-    table = build_table(ds, k, normalized=normalized)
-    return float(_lrd_from_table(table)[i])
+    return float(_densities(build_table(ds, k, normalized=normalized))[0][i])
+
+
+def lof_all(ds: Dataset, k: int) -> np.ndarray:
+    """Outlier factor of every point: mean ratio of the neighbors' densities
+    to the point's own density."""
+    return _densities(build_table(ds, k))[1]
 
 
 def lof(ds: Dataset, i: int, k: int) -> float:
-    """Mean ratio of the neighbors' densities to i's own density."""
-    table = build_table(ds, k, normalized=True)
-    dens = _lrd_from_table(table)
-    row = table.rows[i]
-    return float(sum(sorted(dens[t] / dens[i] for t in row.neighbors)) / row.count)
-
-
-def lof_all(ds: Dataset, k: int, table: NeighborhoodTable | None = None) -> np.ndarray:
-    if table is None:
-        table = build_table(ds, k, normalized=True)
-    dens = _lrd_from_table(table)
-    out = np.empty(table.m)
-    for i, row in enumerate(table.rows):
-        out[i] = sum(sorted(dens[t] / dens[i] for t in row.neighbors)) / row.count
-    return out
+    """Outlier factor of point i."""
+    return float(lof_all(ds, k)[i])
 
 
 def flag(ds: Dataset, k: int, delta: float, normalized: bool = True) -> LofReport:
@@ -218,11 +202,8 @@ def flag(ds: Dataset, k: int, delta: float, normalized: bool = True) -> LofRepor
     if delta <= 0:
         raise ValueError("delta must be positive")
     table = build_table(ds, k, normalized=normalized)
-    dens = _lrd_from_table(table)
-    lofs = np.empty(table.m)
-    for i, row in enumerate(table.rows):
-        lofs[i] = sum(sorted(dens[t] / dens[i] for t in row.neighbors)) / row.count
-    flagged = lofs >= delta
+    dens, lofs, max_ratio = _densities(table)
+    floor = min(sorted(r.dists, reverse=True)[math.ceil(r.count / 2) - 1] for r in table.rows)
     return LofReport(
         k=k,
         delta=delta,
@@ -230,26 +211,7 @@ def flag(ds: Dataset, k: int, delta: float, normalized: bool = True) -> LofRepor
         counts=np.array([r.count for r in table.rows]),
         lrd=dens,
         lof=lofs,
-        flagged=flagged,
+        flagged=lofs >= delta,
+        max_density_ratio=max_ratio,
+        dist_floor_sq=float(floor) ** 2,
     )
-
-
-def max_density_ratio(ds: Dataset, k: int, table: NeighborhoodTable | None = None) -> float:
-    """Largest lrd(t)/lrd(i) over points i and neighbors t (the ratio ceiling)."""
-    if table is None:
-        table = build_table(ds, k, normalized=True)
-    dens = _lrd_from_table(table)
-    return float(
-        max(dens[t] / dens[i] for i, row in enumerate(table.rows) for t in row.neighbors)
-    )
-
-
-def dist_floor_sq(table: NeighborhoodTable) -> float:
-    """Largest P such that at least half of every point's neighbor distances
-    are >= sqrt(P): the square of the minimum upper-median neighbor distance.
-    """
-    floors = []
-    for row in table.rows:
-        vals = sorted(row.dists, reverse=True)
-        floors.append(vals[math.ceil(row.count / 2) - 1])
-    return float(min(floors)) ** 2

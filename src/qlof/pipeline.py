@@ -25,23 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dataset import ConfigError, Dataset, DegenerateDataError, RunConfig
 from .fixedpoint import FixedPoint, encode, q_div, q_max, q_mul_add, zero
 from .ledger import QueryLedger
-from .lof import (
-    NeighborhoodTable,
-    NeighborRow,
-    build_table,
-    dist_floor_sq,
-    flag as classical_flag,
-    lof_all,
-    lrd_values,
-    max_density_ratio,
-)
+from .lof import NeighborhoodTable, NeighborRow, flag as classical_flag
 from .primitives import (
     CountEstimate,
     ae_queries,
@@ -55,10 +45,6 @@ from .qsim import StateVector, controlled_value_rotation, prepare_uniform
 
 class RatioBoundError(Exception):
     """A density ratio exceeded the rotation ceiling E."""
-
-
-class UndefinedOracleInputError(KeyError):
-    """A table oracle was asked about a pair outside the neighborhood."""
 
 
 @dataclass(frozen=True)
@@ -94,70 +80,6 @@ class ErrorBudget:
         }
 
 
-@dataclass(frozen=True)
-class OracleBundle:
-    """The four classical maps the step-2 circuit reads from QRAM.
-
-    u(i) -> (count, k-distance); v(i, t) -> normalized distance for neighbors
-    t of i; g_domain(i) -> the uniform-superposition size; w(i, j) -> the j-th
-    neighbor of i in ascending index order (0-based j).  ``w_map``/``v_map``
-    wrap them as total functions over register domains for apply_oracle.
-    """
-
-    table: NeighborhoodTable
-    width: int
-    frac: int
-
-    def u(self, i: int) -> tuple[int, float]:
-        row = self._row(i)
-        return row.count, row.kdist
-
-    def v(self, i: int, t: int) -> float:
-        row = self._row(i)
-        try:
-            j = row.neighbors.index(t)
-        except ValueError:
-            raise UndefinedOracleInputError(
-                f"point {t} is not a k-distance neighbor of {i}"
-            ) from None
-        return row.dists[j]
-
-    def g_domain(self, i: int) -> int:
-        return self._row(i).count
-
-    def w(self, i: int, j: int) -> int:
-        row = self._row(i)
-        if not 0 <= j < row.count:
-            raise UndefinedOracleInputError(
-                f"neighbor slot {j} outside [0, {row.count}) for point {i}"
-            )
-        return row.neighbors[j]
-
-    def w_map(self, i: int) -> Callable[[int], int]:
-        """Total slot -> neighbor-index map (padding slots return 0)."""
-        row = self._row(i)
-
-        def f(j: int) -> int:
-            return row.neighbors[j] if j < row.count else 0
-
-        return f
-
-    def v_map(self, i: int) -> Callable[[int], int]:
-        """Total point -> distance-bits map (non-neighbors return 0)."""
-        row = self._row(i)
-        bits = {t: encode(d, self.width, self.frac).bits for t, d in zip(row.neighbors, row.dists)}
-
-        def f(t: int) -> int:
-            return bits.get(t, 0)
-
-        return f
-
-    def _row(self, i: int) -> NeighborRow:
-        if not 0 <= i < self.table.m:
-            raise UndefinedOracleInputError(f"no table row for point {i}")
-        return self.table.rows[i]
-
-
 # Seed-stream tags; every stochastic stage draws from its own child generator.
 _STREAM_DIST = 0
 _STREAM_KDIST = 1
@@ -182,8 +104,9 @@ class QuantumLofPipeline:
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.warnings: list[str] = []
         self._dist_hat: np.ndarray | None = None
-        self._classical_table = build_table(ds, config.k, normalized=True)
-        self._classical_lrd = lrd_values(self._classical_table)
+        # The classical reference, computed once: the comparison target and
+        # the source of the ratio ceiling and the distance floor.
+        self._classical = classical_flag(ds, config.k, config.delta)
         # Per coherent invocation of the step-1 distance estimator: one
         # preparation plus two per Grover power; each preparation touches the
         # data oracle four times (two loads, two uncomputes) and the
@@ -256,15 +179,17 @@ class QuantumLofPipeline:
             self._dist_hat = mat
         return self._dist_hat
 
+    def _others(self, i: int) -> np.ndarray:
+        """Frozen estimates from point i to its m-1 candidates.  Candidate j
+        is point j + (j >= i): the search domain skips i itself."""
+        return np.delete(self.distance_estimates()[i], i)
+
     def find_k_distance(self, i: int) -> tuple[float, list[int]]:
         """k-distance of point i over the frozen estimates, by k successive
         minimum searches; also returns the k indices found on the way."""
         cfg = self.config
-        dist = self.distance_estimates()
-        cands = np.array([t for t in range(self.ds.m) if t != i])
         res = kth_smallest(
-            lambda j: dist[i, cands[j]],
-            cands.size,
+            self._others(i),
             cfg.k,
             self._rng(_STREAM_KDIST, i),
             budget_multiplier=cfg.budget_multiplier,
@@ -273,22 +198,18 @@ class QuantumLofPipeline:
             exact=False,
             charge={**self._dist_eval_cost, "step1.value_query": 1},
         )
-        return res.value, [int(cands[j]) for j in res.indices]
+        return res.value, [j + (j >= i) for j in res.indices]
 
     def count_neighbors(self, i: int, kdist: float) -> CountEstimate:
         """Quantum counting of the neighborhood predicate for point i."""
         cfg = self.config
-        dist = self.distance_estimates()
-        cands = np.array([t for t in range(self.ds.m) if t != i])
         return quantum_count(
-            lambda j: dist[i, cands[j]] <= kdist,
-            cands.size,
+            self._others(i) <= kdist,
             cfg.ae_qubits_count,
             self._rng(_STREAM_COUNT, i),
             repeats=cfg.ae_repeats,
             ledger=self.ledger,
-            charge=self._dist_eval_cost,
-            label="step1.count_pred",
+            charge={**self._dist_eval_cost, "step1.count_pred": 1},
         )
 
     def find_neighbors(
@@ -305,13 +226,9 @@ class QuantumLofPipeline:
         (sorted neighbor indices, saturation confirmed).
         """
         cfg = self.config
-        dist = self.distance_estimates()
-        cands = np.array([t for t in range(self.ds.m) if t != i])
-        back = {int(t): j for j, t in enumerate(cands)}
-        seeds = [back[t] for t in seed_found] if seed_found else None
-        found_j, saturated = grover_collect(
-            lambda j: dist[i, cands[j]] <= kdist,
-            cands.size,
+        seeds = [t - (t > i) for t in seed_found] if seed_found else None
+        found, saturated = grover_collect(
+            self._others(i) <= kdist,
             self._rng(_STREAM_COLLECT, i),
             ledger=self.ledger,
             exact=(cfg.backend == "exact"),
@@ -321,7 +238,7 @@ class QuantumLofPipeline:
             max_invocations=cfg.shots,
             charge={**self._dist_eval_cost, "step1.pred_query": 1},
         )
-        return sorted(int(cands[j]) for j in found_j), saturated
+        return [j + (j >= i) for j in found], saturated
 
     def build_neighborhood_table(self) -> NeighborhoodTable:
         """Step 1 end to end for every point."""
@@ -342,7 +259,7 @@ class QuantumLofPipeline:
             # Membership can flip when a true distance sits within eps_dist of
             # the threshold and the estimate itself is eps_dist off, so the
             # observable symptom spans two grid cells around the threshold.
-            others = dist[i, [t for t in range(self.ds.m) if t != i]]
+            others = self._others(i)
             if np.any((np.abs(others - kdist) <= 2.0 * eps1) & (others != kdist)):
                 self.warnings.append(
                     f"point {i}: a distance estimate lies near the k-distance "
@@ -361,9 +278,6 @@ class QuantumLofPipeline:
     # ------------------------------------------------------------------
     # Step 2: densities in reversible fixed point
     # ------------------------------------------------------------------
-
-    def oracles(self, table: NeighborhoodTable) -> OracleBundle:
-        return OracleBundle(table=table, width=self.config.fp_width, frac=self.config.fp_frac)
 
     def compute_lrd_all(self, table: NeighborhoodTable) -> list[FixedPoint]:
         """Inverse densities [lrd-bar]^-1 for every point, fixed-point exact.
@@ -411,8 +325,7 @@ class QuantumLofPipeline:
 
     def ratio_bound(self) -> float:
         """Advice input E: classical max density ratio times the safety factor."""
-        raw = max_density_ratio(self.ds, self.config.k, self._classical_table)
-        return self.config.ratio_safety * raw
+        return self.config.ratio_safety * self._classical.max_density_ratio
 
     def _lof_amplitude(self, rhos: list[float], bound: float) -> float:
         if self.config.backend == "exact":
@@ -482,8 +395,7 @@ class QuantumLofPipeline:
         if delta <= 0:
             raise ConfigError("delta must be positive")
         flagged, _ = grover_collect(
-            lambda i: lof_hat[i] >= delta,
-            lof_hat.size,
+            lof_hat >= delta,
             self._rng(_STREAM_FLAG),
             ledger=self.ledger,
             exact=(self.config.backend == "exact"),
@@ -502,12 +414,12 @@ class QuantumLofPipeline:
     def error_budget(self) -> ErrorBudget:
         cfg = self.config
         e_used = self.ratio_bound()
-        p = dist_floor_sq(self._classical_table)
+        p = self._classical.dist_floor_sq
         if p > 0:
             total = e_used * cfg.eps_lof + 8.0 * cfg.eps_dist / p
         else:
             total = math.inf
-        max_lof = float(np.max(lof_all(self.ds, cfg.k, self._classical_table)))
+        max_lof = float(np.max(self._classical.lof))
         return ErrorBudget(
             eps_dist=cfg.eps_dist,
             eps_count=cfg.eps_count(self.ds.m - 1),
@@ -527,9 +439,8 @@ class QuantumLofPipeline:
         lof_hat = self.compute_lof_all(inv_lrd, table, budget.ratio_bound)
         flagged_q, t_q, near_q = self.flag_anomalies(lof_hat, cfg.delta, budget.total_bound)
 
-        classical = classical_flag(self.ds, cfg.k, cfg.delta)
-        lof_c = classical.lof
-        flags_c = set(classical.flagged_indices())
+        lof_c = self._classical.lof
+        flags_c = set(self._classical.flagged_indices())
         flags_q = set(flagged_q)
         margin_ok = bool(
             math.isfinite(budget.total_bound)

@@ -13,6 +13,12 @@ Four primitives drive the pipeline:
 * :func:`quantum_count` -- amplitude estimation of a membership predicate,
   returning m * sin^2(pi*y/2^t).
 
+The search primitives take the oracle's truth table as an array: a boolean
+``marked`` mask for predicates, a float ``values`` array for value oracles;
+the domain size m is the array's size.  A primitive given a ``ledger``
+charges it once per call: every counter of ``charge`` times the call's
+total number of oracle queries.
+
 The exact backend runs real statevector Grover iterations; the ledger backend
 samples outcomes from the identical closed-form success law while charging the
 same oracle queries.  Simulation bookkeeping (evaluating the predicate to learn
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -72,17 +79,13 @@ def amplitude_estimate(
     t: int,
     rng: np.random.Generator,
     repeats: int = 1,
-    ledger: QueryLedger | None = None,
-    cost: Mapping[str, int] | None = None,
-    label: str = "a_prep",
 ) -> AmplitudeEstimate:
     """Estimate theta = arcsin(sqrt(a)) from the exact AE outcome law.
 
     ``a`` is the good-branch probability of the prepared state (computed from
     a statevector by the exact backend, classically by the ledger backend).
-    ``repeats`` odd medians boost the 8/pi^2 confidence; every repeat charges
-    the full Grover-power schedule.  ``cost`` maps ledger counters to their
-    per-preparer-application charge.
+    ``repeats`` odd medians boost the 8/pi^2 confidence; every repeat costs
+    the full Grover-power schedule, reported in ``queries``.
     """
     if not 0.0 <= a <= 1.0 + 1e-12:
         raise ValueError(f"amplitude {a} outside [0, 1]")
@@ -95,16 +98,11 @@ def amplitude_estimate(
     ys = rng.choice(probs.size, size=repeats, p=probs)
     thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
     theta_hat = thetas[repeats // 2]
-    queries = ae_queries(t, repeats)
-    if ledger is not None:
-        ledger.charge(label, queries)
-        if cost:
-            ledger.charge_many(cost, queries)
     return AmplitudeEstimate(
         theta_hat=theta_hat,
         a_hat=math.sin(theta_hat) ** 2,
         t=t,
-        queries=queries,
+        queries=ae_queries(t, repeats),
     )
 
 
@@ -138,10 +136,6 @@ def amplitude_estimate_via_qpe(
 # ---------------------------------------------------------------------------
 # Grover search, unknown number of solutions
 # ---------------------------------------------------------------------------
-
-
-def _marked_mask(pred: Callable[[int], bool], m: int) -> np.ndarray:
-    return np.fromiter((bool(pred(x)) for x in range(m)), bool, m)
 
 
 def _grover_outcome_law(
@@ -192,46 +186,47 @@ def default_cap_rounds(m: int) -> int:
 
 
 def grover_search(
-    pred: Callable[[int], bool],
-    m: int,
+    marked: np.ndarray,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
     exact: bool = False,
     cap_rounds: int | None = None,
-    charge: Mapping[str, int] | None = None,
-    label: str = "pred",
+    charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
 ) -> int | None:
-    """Find one solution of an m-point predicate with T unknown.
+    """Find one marked index with the number of marked indices unknown.
 
     Returns a uniformly random solution (probability >= 1/2 per schedule pass,
     in practice far higher), or None once ``cap_rounds`` rounds produced
-    nothing -- the T = 0 escape.  Each round of r iterations charges r
+    nothing -- the T = 0 escape.  Each round of r iterations makes r
     predicate queries plus one verification query.
     """
+    marked = np.asarray(marked, dtype=bool)
+    m = marked.size
     if m < 1:
         raise ValueError("domain must contain at least one element")
-    marked = _marked_mask(pred, m)
     if cap_rounds is None:
         cap_rounds = default_cap_rounds(m)
     outcome_fn = _grover_outcome_exact if exact else _grover_outcome_law
-    per_query = dict(charge) if charge else {label: 1}
 
+    found = None
+    queries = 0
     big_m = 1.0
     sqrt_m = math.sqrt(m)
     for _ in range(cap_rounds):
         r = int(rng.integers(math.ceil(big_m)))
         y = outcome_fn(marked, m, r, rng)
-        if ledger is not None:
-            ledger.charge_many(per_query, r + 1)
+        queries += r + 1
         if marked[y]:
-            return y
+            found = y
+            break
         big_m = min(GROWTH * big_m, sqrt_m)
-    return None
+    if ledger is not None:
+        ledger.charge_many(charge, queries)
+    return found
 
 
 def grover_collect(
-    pred: Callable[[int], bool],
-    m: int,
+    marked: np.ndarray,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
     exact: bool = False,
@@ -239,38 +234,34 @@ def grover_collect(
     margin: int = 2,
     seed_found: Sequence[int] | None = None,
     max_invocations: int | None = None,
-    charge: Mapping[str, int] | None = None,
-    label: str = "pred",
+    charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
 ) -> tuple[list[int], bool]:
-    """Collect all solutions by repeated search with exclusion.
+    """Collect all marked indices by repeated search with exclusion.
 
     Stops when a search confirms saturation (returns None) or when the
     invocation cap is reached.  Returns (sorted solutions, saturated).
     ``seed_found`` pre-populates with solutions already known classically.
     """
-    found: set[int] = set(seed_found) if seed_found else set()
+    marked = np.asarray(marked, dtype=bool)
+    found = np.zeros(marked.size, dtype=bool)
+    if seed_found:
+        found[list(seed_found)] = True
     if expected is not None:
         cap = max(expected + margin, 1)
     else:
-        cap = m + margin
+        cap = marked.size + margin
     if max_invocations is not None:
         cap = min(cap, max_invocations)
     saturated = False
     for _ in range(cap):
         y = grover_search(
-            lambda x: pred(x) and x not in found,
-            m,
-            rng,
-            ledger=ledger,
-            exact=exact,
-            charge=charge,
-            label=label,
+            marked & ~found, rng, ledger=ledger, exact=exact, charge=charge
         )
         if y is None:
             saturated = True
             break
-        found.add(y)
-    return sorted(found), saturated
+        found[y] = True
+    return np.flatnonzero(found).tolist(), saturated
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +283,12 @@ def _dh_single(
     rng: np.random.Generator,
     budget: int,
     exact: bool,
-    ledger: QueryLedger | None,
-    charge: Mapping[str, int],
 ) -> tuple[int, float, int]:
     """One Durr-Hoyer pass: threshold descent until the budget is exhausted."""
     m = values.size
-    queries = 0
-
-    def pay(n: int) -> None:
-        nonlocal queries
-        queries += n
-        if ledger is not None:
-            ledger.charge_many(charge, n)
-
     best_i = int(rng.integers(m))
     best_v = float(values[best_i])
-    pay(1)
+    queries = 1
     big_m = 1.0
     sqrt_m = math.sqrt(m)
     while queries < budget:
@@ -324,7 +305,7 @@ def _dh_single(
                 y = int(order[rng.integers(tcount)])
             else:
                 y = int(order[tcount + rng.integers(m - tcount)])
-        pay(r + 1)
+        queries += r + 1
         v = float(values[y])
         if v < best_v:
             best_i, best_v = y, v
@@ -338,41 +319,39 @@ def _dh_single(
 
 
 def quantum_min(
-    value_oracle: Callable[[int], float],
-    m: int,
+    values: np.ndarray,
     rng: np.random.Generator,
     budget_multiplier: float = 22.5,
     boost: int = 1,
     ledger: QueryLedger | None = None,
     exact: bool = False,
-    charge: Mapping[str, int] | None = None,
-    label: str = "value_oracle",
+    charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
 ) -> MinResult:
-    """Find an argmin in O(sqrt(m)) value queries.
+    """Find an argmin of ``values`` in O(sqrt(m)) value queries.
 
     Runs the Durr-Hoyer threshold descent for a fixed budget of
     ``budget_multiplier * sqrt(m)`` queries (success >= 1/2 at the canonical
     multiplier, empirically much higher), repeated ``boost`` times keeping the
     best candidate, which lifts the success floor to 1 - 2^-boost.
     """
+    values = np.asarray(values, dtype=float)
+    m = values.size
     if m < 1:
         raise ValueError("domain must contain at least one element")
     if boost < 1:
         raise ValueError("boost must be >= 1")
-    values = np.fromiter((float(value_oracle(x)) for x in range(m)), float, m)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
     budget = math.ceil(budget_multiplier * math.sqrt(m))
-    per_query = dict(charge) if charge else {label: 1}
 
     best_i, best_v, total = -1, math.inf, 0
     for _ in range(boost):
-        i, v, q = _dh_single(
-            values, order, sorted_vals, rng, budget, exact, ledger, per_query
-        )
+        i, v, q = _dh_single(values, order, sorted_vals, rng, budget, exact)
         total += q
         if (v, i) < (best_v, best_i) or best_i < 0:
             best_i, best_v = i, v
+    if ledger is not None:
+        ledger.charge_many(charge, total)
     return MinResult(index=best_i, value=best_v, queries=total)
 
 
@@ -384,47 +363,41 @@ class KthSmallestResult:
 
 
 def kth_smallest(
-    value_oracle: Callable[[int], float],
-    m: int,
+    values: np.ndarray,
     k: int,
     rng: np.random.Generator,
     budget_multiplier: float = 22.5,
     boost: int = 1,
     ledger: QueryLedger | None = None,
     exact: bool = False,
-    charge: Mapping[str, int] | None = None,
-    label: str = "value_oracle",
+    charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
 ) -> KthSmallestResult:
     """k successive minimum searches, each excluding the indices already found.
 
     The k-th search's value is the k-th order statistic; ties beyond the k-th
     rank are resolved downstream by the <=-threshold neighborhood predicate.
-    k may equal the domain size (callers that exclude the query point pass a
-    domain of m-1 candidates and k up to m-1).
+    k may equal the domain size (callers that exclude the query point pass
+    the m-1 other candidates and k up to m-1).
     """
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} outside [1, {m}]")
+    values = np.asarray(values, dtype=float)
+    if not 1 <= k <= values.size:
+        raise ValueError(f"k={k} outside [1, {values.size}]")
+    excluded = np.zeros(values.size, dtype=bool)
     found: list[int] = []
-    excluded: set[int] = set()
     total = 0
     value = math.nan
     for _ in range(k):
-        def masked(x: int) -> float:
-            return math.inf if x in excluded else float(value_oracle(x))
-
         res = quantum_min(
-            masked,
-            m,
+            np.where(excluded, math.inf, values),
             rng,
             budget_multiplier=budget_multiplier,
             boost=boost,
             ledger=ledger,
             exact=exact,
             charge=charge,
-            label=label,
         )
         found.append(res.index)
-        excluded.add(res.index)
+        excluded[res.index] = True
         total += res.queries
         value = res.value
     return KthSmallestResult(value=value, indices=found, queries=total)
@@ -436,38 +409,35 @@ def kth_smallest(
 
 
 def quantum_count(
-    pred: Callable[[int], bool],
-    m: int,
+    marked: np.ndarray,
     t: int,
     rng: np.random.Generator,
     repeats: int = 1,
     ledger: QueryLedger | None = None,
-    charge: Mapping[str, int] | None = None,
-    label: str = "count_pred",
+    charge: Mapping[str, int] = MappingProxyType({"count_pred": 1}),
 ) -> CountEstimate:
-    """Estimate the number of solutions: n_hat = m * sin^2(pi*y/2^t).
+    """Estimate the number of marked indices: n_hat = m * sin^2(pi*y/2^t).
 
     Amplitude estimation of the uniform superposition against the predicate;
     a = T/m exactly, so the exact and ledger backends share one law.  Each
-    repeat charges 2^t - 1 predicate applications (one per Grover power).
+    repeat makes 2^t - 1 predicate applications (one per Grover power).
     """
+    marked = np.asarray(marked, dtype=bool)
+    m = marked.size
     if m < 1:
         raise ValueError("domain must contain at least one element")
     if t < 1:
         raise ValueError("need at least one precision qubit")
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("repeats must be a positive odd integer")
-    tcount = int(np.count_nonzero(_marked_mask(pred, m)))
-    theta = math.asin(math.sqrt(tcount / m))
+    theta = math.asin(math.sqrt(np.count_nonzero(marked) / m))
     probs = ae_distribution(theta, t)
     ys = rng.choice(probs.size, size=repeats, p=probs)
     raws = sorted(m * math.sin(theta_from_outcome(int(y), t)) ** 2 for y in ys)
     raw = raws[repeats // 2]
     queries = repeats * ((1 << t) - 1)
     if ledger is not None:
-        ledger.charge(label, queries)
-        if charge:
-            ledger.charge_many(charge, queries)
+        ledger.charge_many(charge, queries)
     return CountEstimate(count=int(round(raw)), raw=raw, t=t, queries=queries)
 
 

@@ -205,8 +205,6 @@ def controlled_value_rotation(
     scale: float,
     decode: Callable[[int], float] | None = None,
     mode: str = "linear",
-    ledger: QueryLedger | None = None,
-    name: str = "rotation",
 ) -> StateVector:
     """Rotate the ancilla by an amplitude derived from the value register.
 
@@ -256,8 +254,6 @@ def controlled_value_rotation(
     v0 = vals[zero_idx]
     sv.amps[partner] = sv.amps[zero_idx] * s_table[v0]
     sv.amps[zero_idx] = sv.amps[zero_idx] * c_table[v0]
-    if ledger is not None:
-        ledger.charge(name)
     sv.check_norm()
     return sv
 

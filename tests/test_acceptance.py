@@ -165,11 +165,11 @@ def test_criterion_6_primitive_scaling():
         for trial in range(15):
             rng = np.random.default_rng(60_000 + 31 * m + trial)
             vals = rng.random(m)
-            res = quantum_min(lambda x, v=vals: float(v[x]), m, rng)
+            res = quantum_min(vals, rng)
             q_min.append(res.queries)
             led = QueryLedger()
             sol = int(rng.integers(m))
-            grover_search(lambda x, s=sol: x == s, m, rng, ledger=led)
+            grover_search(np.arange(m) == sol, rng, ledger=led)
             q_gro.append(led.get("pred"))
         med_min.append(float(np.median(q_min)))
         med_grover.append(float(np.median(q_gro)))
@@ -234,7 +234,7 @@ def test_criterion_9_counting_contract():
     rng = np.random.default_rng(91)
     for true_n in (0, 4, 8):
         for _ in range(100):
-            ce = quantum_count(lambda x, n=true_n: x < n, m, 4, rng)
+            ce = quantum_count(np.arange(m) < true_n, 4, rng)
             assert ce.count == true_n and abs(ce.raw - true_n) < 1e-9
 
     t = 5
@@ -243,7 +243,7 @@ def test_criterion_9_counting_contract():
         hits = 0
         trials = 300
         for _ in range(trials):
-            ce = quantum_count(lambda x, n=true_n: x < n, m, t, rng)
+            ce = quantum_count(np.arange(m) < true_n, t, rng)
             hits += abs(ce.raw - true_n) <= tol + 1e-12
         floor = 8.0 / math.pi**2 - 3.0 * math.sqrt(0.81 * 0.19 / trials)
         assert hits / trials >= floor, f"n={true_n}: {hits / trials:.3f} < {floor:.3f}"

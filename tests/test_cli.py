@@ -8,8 +8,11 @@ from qlof.cli import (
     EXIT_IO,
     EXIT_NEAR_THRESHOLD,
     EXIT_OK,
+    EXIT_OVERFLOW,
+    EXIT_RATIO_BOUND,
     main,
 )
+from qlof.pipeline import QuantumLofPipeline
 
 TOY_CSV = "0\n1\n2\n10\n"
 
@@ -58,6 +61,25 @@ def test_parse_error_exit(tmp_path):
 
 def test_usage_error_exit():
     assert main(["no-such-command"]) == 2
+
+
+def test_fixed_point_overflow_exit(tmp_path, capsys):
+    # Twelve points in [0, 1] and one at 3: the straggler's density ratio
+    # needs more integer bits than an 8-bit word with 6 fraction bits holds.
+    p = tmp_path / "ovf.csv"
+    p.write_text("".join(f"{i / 11!r}\n" for i in range(12)) + "3.0\n")
+    argv = ["compare", str(p), "--k", "2", "--fp-width", "8", "--fp-frac", "6"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--fp-width" in err[0]
+
+
+def test_ratio_bound_exit(toy_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(QuantumLofPipeline, "ratio_bound", lambda self: 0.5)
+    rc = main(["compare", str(toy_csv), "--k", "2", "--out", str(tmp_path)])
+    assert rc == EXIT_RATIO_BOUND
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--ratio-safety" in err[0]
 
 
 def test_compare_toy_matches(toy_csv, tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,15 +6,11 @@ import pytest
 
 from qlof.dataset import DegenerateDataError, from_points
 from qlof.lof import (
-    build_table,
-    dist_floor_sq,
     flag,
     k_distance,
     lof,
     lof_all,
     lrd,
-    lrd_values,
-    max_density_ratio,
     neighborhood,
     reach_dist,
 )
@@ -185,8 +182,15 @@ def test_report_normalized_convention():
 
 
 def test_budget_helpers_frozen():
-    ds = toy()
-    table = build_table(ds, 2)
-    assert math.isclose(max_density_ratio(ds, 2, table), 17.0 / 3.0, rel_tol=1e-12)
-    assert math.isclose(dist_floor_sq(table), 0.01, rel_tol=1e-12)
-    assert np.allclose(lrd_values(table), 10.0 * np.array(TOY_LRD_RAW))
+    rep = flag(toy(), 2, 1.5)
+    assert math.isclose(rep.max_density_ratio, 17.0 / 3.0, rel_tol=1e-12)
+    assert math.isclose(rep.dist_floor_sq, 0.01, rel_tol=1e-12)
+    assert np.allclose(rep.lrd, 10.0 * np.array(TOY_LRD_RAW))
+
+
+def test_package_attribute_is_the_module():
+    import qlof
+    import qlof.lof as mod
+
+    assert inspect.ismodule(mod) and qlof.lof is mod
+    assert mod.lof is lof  # the function stays importable from the module

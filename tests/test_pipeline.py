@@ -1,20 +1,16 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from qlof import dataset, lof
 from qlof.dataset import RunConfig, from_points
-from qlof.fixedpoint import encode
 from qlof.ledger import QueryLedger
 from qlof.lof import build_table
-from qlof.pipeline import (
-    OracleBundle,
-    QuantumLofPipeline,
-    RatioBoundError,
-    UndefinedOracleInputError,
-)
-from qlof.qsim import StateVector, apply_oracle, prepare_uniform
+from qlof.pipeline import QuantumLofPipeline, RatioBoundError
+from qlof.qsim import StateVector
 from qlof.synthetic import random_dataset
 
 TOY = from_points([[0.0], [1.0], [2.0], [10.0]])
@@ -231,44 +227,6 @@ def test_build_table_two_points():
     assert table.rows[1].neighbors == [0]
 
 
-def test_oracles_uvgw():
-    table = build_table(GRID3, 1)
-    bundle = OracleBundle(table=table, width=16, frac=12)
-    count, kdist = bundle.u(1)
-    assert count == 2 and math.isclose(kdist, 0.5)
-    assert bundle.w(1, 0) == 0  # ascending neighbor order
-    assert bundle.w(1, 1) == 2
-    assert bundle.g_domain(1) == 2
-    assert math.isclose(bundle.v(1, 2), 0.5)
-    with pytest.raises(UndefinedOracleInputError):
-        bundle.v(0, 2)  # not a neighbor
-    with pytest.raises(UndefinedOracleInputError):
-        bundle.w(0, 5)
-    with pytest.raises(UndefinedOracleInputError):
-        bundle.u(17)
-
-
-def test_oracle_maps_embed_unitarily():
-    # One branch of the step-2 dataflow as permutation unitaries: slot -> W ->
-    # neighbor index -> V -> distance bits, XOR semantics, norm preserved.
-    table = build_table(GRID3, 1)
-    bundle = OracleBundle(table=table, width=6, frac=5)
-    i = 1
-    sv = StateVector([("j", 1), ("t", 2), ("d", 6)])
-    prepare_uniform(sv, "j", bundle.g_domain(i))
-    apply_oracle(sv, bundle.w_map(i), "j", "t")
-    apply_oracle(sv, bundle.v_map(i), "t", "d")
-    probs = sv.probabilities("d")
-    expected_bits = encode(0.5, 6, 5).bits
-    assert math.isclose(probs[expected_bits], 1.0)  # both neighbors at 0.5
-    # Uncompute restores the input state exactly (involution).
-    apply_oracle(sv, bundle.v_map(i), "t", "d")
-    apply_oracle(sv, bundle.w_map(i), "j", "t")
-    base = StateVector([("j", 1), ("t", 2), ("d", 6)])
-    prepare_uniform(base, "j", bundle.g_domain(i))
-    assert np.allclose(sv.amps, base.amps)
-
-
 def test_compute_lrd_uniform_triple():
     pipe = QuantumLofPipeline(GRID3, cfg(k=1, seed=4))
     table = build_table(GRID3, 1)  # exact inputs isolate the arithmetic
@@ -374,6 +332,30 @@ def test_run_toy_end_to_end():
     assert all(pt["within_bound"] for pt in man["points"])
     assert man["error_budget"]["vacuous"] is False
     json.dumps(man)  # fully serializable
+
+
+def test_run_builds_the_classical_reference_once(monkeypatch):
+    # Count every call, whichever qlof module's binding it goes through.
+    originals = {
+        "build_table": lof.build_table,
+        "normalized_distance_matrix": dataset.normalized_distance_matrix,
+    }
+    calls = dict.fromkeys(originals, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "qlof" or modname.startswith("qlof."):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+    QuantumLofPipeline(TOY, cfg(seed=42)).run()
+    assert calls == {"build_table": 1, "normalized_distance_matrix": 1}
 
 
 def test_run_deterministic():

@@ -33,13 +33,8 @@ def test_ae_certain_cases():
 
 def test_ae_queries_and_ledger():
     rng = np.random.default_rng(1)
-    led = QueryLedger()
-    est = amplitude_estimate(
-        0.3, 5, rng, repeats=3, ledger=led, cost={"o_x": 4}, label="a_dist"
-    )
+    est = amplitude_estimate(0.3, 5, rng, repeats=3)
     assert est.queries == 3 * (2 * 31 + 1)
-    assert led.get("a_dist") == est.queries
-    assert led.get("o_x") == 4 * est.queries
     assert ae_queries(5, 3) == est.queries
 
 
@@ -122,15 +117,15 @@ def test_grover_single_iteration_certainty():
 
 def test_grover_all_marked_zero_iterations():
     rng = np.random.default_rng(6)
-    y = grover_search(lambda x: True, 8, rng)
+    y = grover_search(np.ones(8, dtype=bool), rng)
     assert y is not None and 0 <= y < 8
 
 
 def test_grover_not_found_on_empty():
     rng = np.random.default_rng(7)
     led = QueryLedger()
-    assert grover_search(lambda x: False, 16, rng, ledger=led) is None
-    assert led.get("pred") > 0
+    assert grover_search(np.zeros(16, dtype=bool), rng, ledger=led) is None
+    assert led.as_dict() == {"pred": led.get("pred")} and led.get("pred") > 0
 
 
 def test_grover_unknown_t_success_rate():
@@ -138,7 +133,7 @@ def test_grover_unknown_t_success_rate():
     for s in range(300):
         rng = np.random.default_rng(100 + s)
         sol = int(rng.integers(64))
-        y = grover_search(lambda x, sol=sol: x == sol, 64, rng)
+        y = grover_search(np.arange(64) == sol, rng)
         hits += y == sol
     assert hits / 300 >= 0.95  # schedule succeeds well above the 1/2 floor
 
@@ -146,15 +141,13 @@ def test_grover_unknown_t_success_rate():
 def test_grover_exact_vs_ledger_agreement():
     # Identical closed-form law drives both; frequencies agree within 3 sigma.
     m, t_count = 8, 2
-    marked_set = {1, 5}
+    marked = np.isin(np.arange(m), [1, 5])
     trials = 400
     succ = {"ledger": 0, "exact": 0}
     for mode, exact in (("ledger", False), ("exact", True)):
         for s in range(trials):
             rng = np.random.default_rng(1000 + s)
-            y = grover_search(
-                lambda x: x in marked_set, m, rng, exact=exact, cap_rounds=3
-            )
+            y = grover_search(marked, rng, exact=exact, cap_rounds=3)
             succ[mode] += y is not None
     p = (succ["ledger"] + succ["exact"]) / (2 * trials)
     sigma = math.sqrt(max(p * (1 - p), 1e-6) * 2 / trials)
@@ -164,19 +157,17 @@ def test_grover_exact_vs_ledger_agreement():
 def test_grover_ledger_charges_iterations():
     rng = np.random.default_rng(8)
     led = QueryLedger()
-    grover_search(lambda x: x == 3, 16, rng, ledger=led, charge={"q": 1})
-    assert led.get("q") >= 1
+    grover_search(np.arange(16) == 3, rng, ledger=led, charge={"q": 1, "r": 2})
+    assert led.get("q") >= 1 and led.get("r") == 2 * led.get("q")
 
 
 def test_grover_collect_with_exclusion_and_seed():
     rng = np.random.default_rng(9)
-    sols = {2, 5, 11}
-    found, saturated = grover_collect(lambda x: x in sols, 16, rng, expected=3)
-    assert set(found) == sols and saturated
-    found2, _ = grover_collect(
-        lambda x: x in sols, 16, rng, expected=3, seed_found=[2, 5]
-    )
-    assert set(found2) == sols
+    marked = np.isin(np.arange(16), [2, 5, 11])
+    found, saturated = grover_collect(marked, rng, expected=3)
+    assert found == [2, 5, 11] and saturated
+    found2, _ = grover_collect(marked, rng, expected=3, seed_found=[2, 5])
+    assert found2 == [2, 5, 11]
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +177,17 @@ def test_grover_collect_with_exclusion_and_seed():
 
 def test_quantum_min_examples():
     rng = np.random.default_rng(10)
-    res = quantum_min(lambda x: [3.0, 1.0, 2.0][x], 3, rng)
+    res = quantum_min(np.array([3.0, 1.0, 2.0]), rng)
     assert res.index == 1 and res.value == 1.0
     # All equal: any index, value equals the common value.
-    res = quantum_min(lambda x: 7.0, 5, rng)
+    res = quantum_min(np.full(5, 7.0), rng)
     assert res.value == 7.0 and 0 <= res.index < 5
 
 
 def test_quantum_min_budget_and_ledger():
     led = QueryLedger()
     rng = np.random.default_rng(11)
-    res = quantum_min(lambda x: float(x), 64, rng, ledger=led, charge={"v": 1})
+    res = quantum_min(np.arange(64.0), rng, ledger=led, charge={"v": 1})
     budget = math.ceil(22.5 * math.sqrt(64))
     assert res.queries >= budget  # runs to budget exhaustion
     assert res.queries <= budget + math.ceil(math.sqrt(64)) + 1
@@ -209,7 +200,7 @@ def test_quantum_min_random_permutations_boosted():
     for s in range(trials):
         rng = np.random.default_rng(2000 + s)
         vals = rng.permutation(64).astype(float)
-        res = quantum_min(lambda x, v=vals: v[x], 64, rng, boost=4)
+        res = quantum_min(vals, rng, boost=4)
         hits += res.index == int(np.argmin(vals))
     assert hits / trials >= 0.90
 
@@ -219,23 +210,23 @@ def test_quantum_min_exact_backend_small():
     for s in range(60):
         rng = np.random.default_rng(3000 + s)
         vals = rng.permutation(8).astype(float)
-        res = quantum_min(lambda x, v=vals: v[x], 8, rng, exact=True, boost=2)
+        res = quantum_min(vals, rng, exact=True, boost=2)
         hits += res.index == int(np.argmin(vals))
     assert hits / 60 >= 0.9
 
 
 def test_kth_smallest_examples():
     rng = np.random.default_rng(12)
-    res = kth_smallest(lambda x: [5.0, 1.0, 4.0, 2.0][x], 4, 2, rng, boost=3)
+    res = kth_smallest(np.array([5.0, 1.0, 4.0, 2.0]), 2, rng, boost=3)
     assert res.value == 2.0 and sorted(res.indices) == [1, 3]
     # Tie at the k-th rank: value is still the order statistic.
-    res = kth_smallest(lambda x: [1.0, 2.0, 2.0, 9.0][x], 4, 2, rng, boost=3)
+    res = kth_smallest(np.array([1.0, 2.0, 2.0, 9.0]), 2, rng, boost=3)
     assert res.value == 2.0
     # k = m-1: the largest of the remaining values.
-    res = kth_smallest(lambda x: [3.0, 0.0, 7.0, 5.0][x], 4, 3, rng, boost=3)
+    res = kth_smallest(np.array([3.0, 0.0, 7.0, 5.0]), 3, rng, boost=3)
     assert res.value == 5.0
     with pytest.raises(ValueError):
-        kth_smallest(lambda x: 0.0, 4, 5, rng)
+        kth_smallest(np.zeros(4), 5, rng)
 
 
 def test_kth_smallest_matches_sort_oracle():
@@ -243,7 +234,7 @@ def test_kth_smallest_matches_sort_oracle():
         rng = np.random.default_rng(4000 + s)
         vals = rng.random(20)
         k = int(rng.integers(1, 6))
-        res = kth_smallest(lambda x, v=vals: float(v[x]), 20, k, rng, boost=4)
+        res = kth_smallest(vals, k, rng, boost=4)
         assert math.isclose(res.value, float(np.sort(vals)[k - 1]))
 
 
@@ -254,15 +245,15 @@ def test_kth_smallest_matches_sort_oracle():
 
 def test_count_extremes():
     rng = np.random.default_rng(13)
-    assert quantum_count(lambda x: False, 8, 4, rng).count == 0
-    assert quantum_count(lambda x: True, 8, 4, rng).count == 8
+    assert quantum_count(np.zeros(8, dtype=bool), 4, rng).count == 0
+    assert quantum_count(np.ones(8, dtype=bool), 4, rng).count == 8
 
 
 def test_count_exact_phase_half():
     # 2 marked of 4: a = 1/2, representable at t = 3 -> exact every time.
     rng = np.random.default_rng(14)
     for _ in range(100):
-        ce = quantum_count(lambda x: x in (0, 3), 4, 3, rng)
+        ce = quantum_count(np.array([True, False, False, True]), 3, rng)
         assert ce.count == 2 and abs(ce.raw - 2.0) < 1e-9
 
 
@@ -270,12 +261,11 @@ def test_count_contract_generic():
     m, t = 8, 5
     rng = np.random.default_rng(15)
     for true_n in range(m + 1):
-        marked = set(range(true_n))
         tol = counting_tolerance(m, true_n, t)
         hits = 0
         trials = 200
         for _ in range(trials):
-            ce = quantum_count(lambda x, mk=marked: x in mk, m, t, rng)
+            ce = quantum_count(np.arange(m) < true_n, t, rng)
             hits += abs(ce.raw - true_n) <= tol + 1e-12
         sigma = math.sqrt(0.81 * 0.19 / trials)
         assert hits / trials >= 8 / math.pi**2 - 3 * sigma
@@ -284,9 +274,9 @@ def test_count_contract_generic():
 def test_count_ledger_charges():
     rng = np.random.default_rng(16)
     led = QueryLedger()
-    ce = quantum_count(lambda x: x == 0, 8, 4, rng, ledger=led, label="cp")
+    ce = quantum_count(np.arange(8) == 0, 4, rng, ledger=led, charge={"cp": 1, "o_x": 4})
     assert ce.queries == 15
-    assert led.get("cp") == 15
+    assert led.as_dict() == {"cp": 15, "o_x": 60}
 
 
 def test_uniform_preparer_matches_counting_amplitude():
