@@ -13,6 +13,9 @@ Four primitives drive the pipeline:
 * :func:`quantum_count` -- amplitude estimation of a membership predicate,
   returning m * sin^2(pi*y/2^t).
 
+Every amplitude-estimation draw goes through :func:`ae_outcomes`, which
+samples a block of angles at once; the pipeline's step 1 calls it directly.
+
 The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
 the domain size m is the array's size.  A primitive given a ``ledger``
@@ -39,6 +42,7 @@ from .ledger import QueryLedger
 from .qsim import (
     StateVector,
     ae_distribution,
+    ae_mixture,
     phase_estimate,
     prepare_uniform,
     theta_from_outcome,
@@ -74,6 +78,65 @@ def ae_queries(t: int, repeats: int = 1) -> int:
     return repeats * (2 * ((1 << t) - 1) + 1)
 
 
+# A row with a draw this close to a step of the closed-form CDF is redrawn
+# from the literal law.  The closed-form and literal samplers disagree only
+# on a draw lying between a step of one CDF and the same step of the other,
+# so the tolerance must exceed the largest gap between the two CDFs.
+#
+# Margin, with N = 2^t and delta >= _GRID_TOL the angle's distance to the
+# grid pi*y/N.  Roundings of theta/pi, of the phase offsets d, of the
+# products and of the tables put an absolute error of at most about 1e-15
+# on every sine argument or table sine either law uses (N times that on the
+# literal numerator's argument pi*N*d).  The sines they feed are at least
+# 2*delta/pi (the numerator's |sin(N*theta)| at least 2*N*delta/pi), so
+# every term of either law carries a relative error R <= 1e-14/delta, which
+# is 1e-8 at delta = 1e-6.  A CDF value c = A/(A+B) then moves by at most
+# c*(1-c)*2R <= R/2 = 5e-9, and each cumulative sum adds N*eps (1e-12 at
+# t = 12): a twentieth of the tolerance.  Measured gaps are far smaller:
+# below 5e-13 for t <= 12, down to delta = 1e-6.
+_STEP_TOL = 1e-7
+
+
+def amplitude_angle(a: float) -> float:
+    """theta = arcsin(sqrt(a)) of a good-branch probability a in [0, 1]."""
+    if not 0.0 <= a <= 1.0 + 1e-12:
+        raise ValueError(f"amplitude {a} outside [0, 1]")
+    return math.asin(min(1.0, math.sqrt(max(a, 0.0))))
+
+
+def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
+    """Sample amplitude-estimation outcomes for a block of angles.
+
+    Row b of the result is what ``Generator.choice(2**t, p=law)`` returns
+    when it consumes the uniforms ``u[b]``, law being the literal outcome law
+    :func:`~qlof.qsim.ae_mixture` of ``thetas[b]``: the index of the first
+    CDF step above each draw.  The CDF comes from the closed-form
+    :func:`~qlof.qsim.ae_distribution` of the whole block; a row with a draw
+    within ``_STEP_TOL`` of one of its steps is redone on the literal law.
+    """
+    angles = np.asarray(thetas, dtype=float)
+    u = np.asarray(u, dtype=float)
+    law = ae_distribution(angles, t)
+    cdf = np.zeros((angles.size, law.shape[1] + 1))  # column 0 is the step at 0
+    np.cumsum(law, axis=1, out=cdf[:, 1:])
+    cdf /= cdf[:, -1:]
+    ys = np.array([row.searchsorted(draws, side="right") for row, draws in zip(cdf, u)]) - 1
+    rows = np.arange(angles.size)[:, None]
+    close = np.minimum(u - cdf[rows, ys], cdf[rows, ys + 1] - u) < _STEP_TOL
+    for row in np.flatnonzero(close.any(axis=1)):
+        literal = ae_mixture(float(angles[row]), t).cumsum()
+        literal /= literal[-1]
+        ys[row] = literal.searchsorted(u[row], side="right")
+    return ys
+
+
+def folded_median(ys: np.ndarray, t: int) -> np.ndarray:
+    """Median over the last axis of outcomes folded into [0, 2^(t-1)]: the
+    grid index of the median estimated angle (see ``theta_from_outcome``)."""
+    n = 1 << t
+    return np.sort(np.minimum(ys, n - ys), axis=-1)[..., ys.shape[-1] // 2]
+
+
 def amplitude_estimate(
     a: float,
     t: int,
@@ -87,17 +150,13 @@ def amplitude_estimate(
     ``repeats`` odd medians boost the 8/pi^2 confidence; every repeat costs
     the full Grover-power schedule, reported in ``queries``.
     """
-    if not 0.0 <= a <= 1.0 + 1e-12:
-        raise ValueError(f"amplitude {a} outside [0, 1]")
+    theta = amplitude_angle(a)
     if t < 1:
         raise ValueError("need at least one precision qubit")
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("repeats must be a positive odd integer")
-    theta = math.asin(min(1.0, math.sqrt(max(a, 0.0))))
-    probs = ae_distribution(theta, t)
-    ys = rng.choice(probs.size, size=repeats, p=probs)
-    thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
-    theta_hat = thetas[repeats // 2]
+    ys = ae_outcomes([theta], t, rng.random((1, repeats)))
+    theta_hat = theta_from_outcome(int(folded_median(ys, t)[0]), t)
     return AmplitudeEstimate(
         theta_hat=theta_hat,
         a_hat=math.sin(theta_hat) ** 2,
@@ -114,17 +173,20 @@ def amplitude_estimate_via_qpe(
     repeats: int = 1,
     method: str = "auto",
     ledger: QueryLedger | None = None,
+    charge: Mapping[str, int] = MappingProxyType({"controlled_u": 1}),
 ) -> AmplitudeEstimate:
     """Full statevector route: build the Grover operator of the preparer and
     run phase estimation on it.  Distribution-identical to
     :func:`amplitude_estimate`; used to validate the outcome law and in demos.
+    A ``ledger`` is charged as :func:`~qlof.qsim.phase_estimate` charges it.
     """
     from .qsim import grover_operator  # local import keeps module load light
 
     op = grover_operator(preparer, good_flag)
-    ys = phase_estimate(op, t, op.psi, rng, shots=repeats, method=method, ledger=ledger)
-    thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
-    theta_hat = thetas[repeats // 2]
+    ys = phase_estimate(
+        op, t, op.psi, rng, shots=repeats, method=method, ledger=ledger, charge=charge
+    )
+    theta_hat = theta_from_outcome(int(folded_median(ys, t)), t)
     return AmplitudeEstimate(
         theta_hat=theta_hat,
         a_hat=math.sin(theta_hat) ** 2,
@@ -165,7 +227,11 @@ def _grover_outcome_exact(
     r: int,
     rng: np.random.Generator,
 ) -> int:
-    """Run r statevector Grover iterations over a uniform-over-m start state."""
+    """Run r statevector Grover iterations over a uniform-over-m start state.
+
+    With nothing marked the Grover operator fixes the start state, so no
+    iteration runs; the outcome is still one draw from the measured law.
+    """
     nq = max(1, math.ceil(math.log2(m)))
     dim = 1 << nq
     psi0 = np.zeros(dim)
@@ -173,7 +239,7 @@ def _grover_outcome_exact(
     full_mask = np.zeros(dim, dtype=bool)
     full_mask[:m] = marked
     amps = psi0.astype(np.complex128)
-    for _ in range(r):
+    for _ in range(r if marked.any() else 0):
         amps = np.where(full_mask, -amps, amps)
         amps = 2.0 * psi0 * np.vdot(psi0, amps) - amps
     p = np.abs(amps) ** 2
@@ -431,10 +497,8 @@ def quantum_count(
     if repeats < 1 or repeats % 2 == 0:
         raise ValueError("repeats must be a positive odd integer")
     theta = math.asin(math.sqrt(np.count_nonzero(marked) / m))
-    probs = ae_distribution(theta, t)
-    ys = rng.choice(probs.size, size=repeats, p=probs)
-    raws = sorted(m * math.sin(theta_from_outcome(int(y), t)) ** 2 for y in ys)
-    raw = raws[repeats // 2]
+    ys = ae_outcomes([theta], t, rng.random((1, repeats)))
+    raw = m * math.sin(theta_from_outcome(int(folded_median(ys, t)[0]), t)) ** 2
     queries = repeats * ((1 << t) - 1)
     if ledger is not None:
         ledger.charge_many(charge, queries)

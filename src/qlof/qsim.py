@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -150,14 +151,15 @@ def apply_oracle(
     f: Callable[..., int],
     in_regs: str | Sequence[str],
     out_reg: str,
-    name: str | None = None,
     ledger: QueryLedger | None = None,
+    charge: Mapping[str, int] = MappingProxyType({"oracle": 1}),
 ) -> StateVector:
     """Apply |in>|out> -> |in>|out XOR f(in)> as a permutation unitary.
 
     ``f`` receives one integer per input register and must return a value
-    fitting the output register for every point of the input domain.  One
-    ledger charge per application, regardless of superposition width.
+    fitting the output register for every point of the input domain.  A
+    ``ledger`` is charged ``charge`` once per application, regardless of
+    superposition width.
     """
     if isinstance(in_regs, str):
         in_regs = [in_regs]
@@ -193,7 +195,7 @@ def apply_oracle(
     new[perm] = sv.amps
     sv.amps = new
     if ledger is not None:
-        ledger.charge(name or "oracle")
+        ledger.charge_many(charge)
     sv.check_norm()
     return sv
 
@@ -397,8 +399,8 @@ def phase_distribution(
     return probs / total
 
 
-def ae_distribution(theta: float, t: int) -> np.ndarray:
-    """Outcome distribution of amplitude estimation at angle theta.
+def ae_mixture(theta: float, t: int) -> np.ndarray:
+    """Outcome distribution of amplitude estimation at angle theta, literally.
 
     The prepared state splits evenly across the two Grover eigenvectors with
     eigenphases +-2*theta, so the precision register sees an equal mixture of
@@ -409,6 +411,43 @@ def ae_distribution(theta: float, t: int) -> np.ndarray:
     omega = theta / math.pi  # eigenphase 2*theta in turns
     probs = 0.5 * pe_kernel(omega - ys / n, t) + 0.5 * pe_kernel(-omega - ys / n, t)
     return probs / probs.sum()
+
+
+# Angles closer than this to the outcome grid pi*y/2^t take the literal law:
+# there a closed-form denominator vanishes.
+_GRID_TOL = 1e-6
+
+
+def ae_distribution(theta: float | np.ndarray, t: int) -> np.ndarray:
+    """Outcome distribution of amplitude estimation, one row per angle.
+
+    With N = 2^t, both kernels of :func:`ae_mixture` share the numerator
+    sin^2(N*theta), which cancels on normalising, so the law is
+    p_y ~ 1/sin^2(theta - pi*y/N) + 1/sin^2(theta + pi*y/N), symmetric under
+    y -> N - y.  The sines of y <= N/2 come from per-call cos/sin tables of
+    pi*y/N, with no transcendental per element; the other half is mirrored.
+    Angles within ``_GRID_TOL`` of the grid, where a sine vanishes, take
+    :func:`ae_mixture`'s row instead.  A scalar theta gives one row of N
+    probabilities, an array of angles a (len, N) array.
+    """
+    n = 1 << t
+    h = n // 2 + 1
+    angles = np.atleast_1d(np.asarray(theta, dtype=float))
+    on_grid = np.abs(angles - math.pi * np.rint(angles * n / math.pi) / n) < _GRID_TOL
+    # On-grid rows are evaluated mid-cell, then replaced by the literal law.
+    safe = np.where(on_grid, angles + math.pi / (2 * n), angles)
+    arc = math.pi * np.arange(h) / n
+    so_cy = np.sin(safe)[:, None] * np.cos(arc)
+    co_sy = np.cos(safe)[:, None] * np.sin(arc)
+    law = np.empty((angles.size, n))
+    half = law[:, :h]
+    np.divide(1.0, (so_cy - co_sy) ** 2, out=half)
+    half += 1.0 / (so_cy + co_sy) ** 2
+    half /= 2.0 * half.sum(axis=1, keepdims=True) - half[:, :1] - half[:, -1:]
+    law[:, h:] = half[:, h - 2 : 0 : -1]
+    for row in np.flatnonzero(on_grid):
+        law[row] = ae_mixture(float(angles[row]), t)
+    return law if np.ndim(theta) else law[0]
 
 
 def theta_from_outcome(y: int, t: int) -> float:
@@ -426,16 +465,17 @@ def phase_estimate(
     shots: int = 1,
     method: str = "auto",
     ledger: QueryLedger | None = None,
-    name: str = "controlled_u",
+    charge: Mapping[str, int] = MappingProxyType({"controlled_u": 1}),
     capacity: int = DEFAULT_CAPACITY,
 ) -> np.ndarray:
     """Sample phase-register outcomes y in [0, 2^t).
 
-    Each estimate charges 2^t - 1 controlled-U applications to the ledger.
+    Each estimate makes 2^t - 1 controlled-U applications; a ``ledger`` is
+    charged every counter of ``charge`` times their total.
     """
     if t < 1:
         raise QsimError("phase estimation needs at least one precision qubit")
     probs = phase_distribution(u, psi0, t, method=method, capacity=capacity)
     if ledger is not None:
-        ledger.charge(name, ((1 << t) - 1) * shots)
+        ledger.charge_many(charge, ((1 << t) - 1) * shots)
     return rng.choice(probs.size, size=shots, p=probs)

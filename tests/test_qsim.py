@@ -58,9 +58,9 @@ def test_apply_oracle_involution_and_ledger():
     prepare_uniform(sv, "x", 8)
     led = QueryLedger()
     before = sv.amps.copy()
-    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out", name="f", ledger=led)
+    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out", ledger=led, charge={"f": 1})
     assert not np.allclose(sv.amps, before)
-    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out", name="f", ledger=led)
+    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out", ledger=led, charge={"f": 1})
     assert np.allclose(sv.amps, before)  # XOR semantics: applying twice restores
     assert led.get("f") == 2
     sv.check_norm()
@@ -239,7 +239,7 @@ def test_phase_estimate_sampling_and_ledger():
     led = QueryLedger()
     u = np.diag([-1.0 + 0j, 1.0])
     psi = np.array([1.0, 0.0], dtype=complex)
-    ys = phase_estimate(u, 3, psi, rng, shots=10, ledger=led)
+    ys = phase_estimate(u, 3, psi, rng, shots=10, ledger=led, charge={"controlled_u": 1})
     assert np.all(ys == 4)
     assert led.get("controlled_u") == 7 * 10
 
