@@ -173,19 +173,15 @@ def amplitude_estimate_via_qpe(
     repeats: int = 1,
     method: str = "auto",
     ledger: QueryLedger | None = None,
-    charge: Mapping[str, int] = MappingProxyType({"controlled_u": 1}),
 ) -> AmplitudeEstimate:
     """Full statevector route: build the Grover operator of the preparer and
     run phase estimation on it.  Distribution-identical to
     :func:`amplitude_estimate`; used to validate the outcome law and in demos.
-    A ``ledger`` is charged as :func:`~qlof.qsim.phase_estimate` charges it.
     """
     from .qsim import grover_operator  # local import keeps module load light
 
     op = grover_operator(preparer, good_flag)
-    ys = phase_estimate(
-        op, t, op.psi, rng, shots=repeats, method=method, ledger=ledger, charge=charge
-    )
+    ys = phase_estimate(op, t, op.psi, rng, shots=repeats, method=method, ledger=ledger)
     theta_hat = theta_from_outcome(int(folded_median(ys, t)), t)
     return AmplitudeEstimate(
         theta_hat=theta_hat,
@@ -227,11 +223,7 @@ def _grover_outcome_exact(
     r: int,
     rng: np.random.Generator,
 ) -> int:
-    """Run r statevector Grover iterations over a uniform-over-m start state.
-
-    With nothing marked the Grover operator fixes the start state, so no
-    iteration runs; the outcome is still one draw from the measured law.
-    """
+    """Run r statevector Grover iterations over a uniform-over-m start state."""
     nq = max(1, math.ceil(math.log2(m)))
     dim = 1 << nq
     psi0 = np.zeros(dim)
@@ -239,7 +231,7 @@ def _grover_outcome_exact(
     full_mask = np.zeros(dim, dtype=bool)
     full_mask[:m] = marked
     amps = psi0.astype(np.complex128)
-    for _ in range(r if marked.any() else 0):
+    for _ in range(r):
         amps = np.where(full_mask, -amps, amps)
         amps = 2.0 * psi0 * np.vdot(psi0, amps) - amps
     p = np.abs(amps) ** 2

@@ -423,28 +423,21 @@ def ae_distribution(theta: float | np.ndarray, t: int) -> np.ndarray:
 
     With N = 2^t, both kernels of :func:`ae_mixture` share the numerator
     sin^2(N*theta), which cancels on normalising, so the law is
-    p_y ~ 1/sin^2(theta - pi*y/N) + 1/sin^2(theta + pi*y/N), symmetric under
-    y -> N - y.  The sines of y <= N/2 come from per-call cos/sin tables of
-    pi*y/N, with no transcendental per element; the other half is mirrored.
-    Angles within ``_GRID_TOL`` of the grid, where a sine vanishes, take
-    :func:`ae_mixture`'s row instead.  A scalar theta gives one row of N
+    p_y ~ 1/sin^2(theta - pi*y/N) + 1/sin^2(theta + pi*y/N).  The sines
+    come from per-call cos/sin tables of pi*y/N, with no transcendental per
+    element.  Angles within ``_GRID_TOL`` of the grid, where a sine vanishes,
+    take :func:`ae_mixture`'s row instead.  A scalar theta gives one row of N
     probabilities, an array of angles a (len, N) array.
     """
     n = 1 << t
-    h = n // 2 + 1
     angles = np.atleast_1d(np.asarray(theta, dtype=float))
     on_grid = np.abs(angles - math.pi * np.rint(angles * n / math.pi) / n) < _GRID_TOL
-    # On-grid rows are evaluated mid-cell, then replaced by the literal law.
-    safe = np.where(on_grid, angles + math.pi / (2 * n), angles)
-    arc = math.pi * np.arange(h) / n
-    so_cy = np.sin(safe)[:, None] * np.cos(arc)
-    co_sy = np.cos(safe)[:, None] * np.sin(arc)
-    law = np.empty((angles.size, n))
-    half = law[:, :h]
-    np.divide(1.0, (so_cy - co_sy) ** 2, out=half)
-    half += 1.0 / (so_cy + co_sy) ** 2
-    half /= 2.0 * half.sum(axis=1, keepdims=True) - half[:, :1] - half[:, -1:]
-    law[:, h:] = half[:, h - 2 : 0 : -1]
+    arc = math.pi * np.arange(n) / n
+    so_cy = np.sin(angles)[:, None] * np.cos(arc)
+    co_sy = np.cos(angles)[:, None] * np.sin(arc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        law = 1.0 / (so_cy - co_sy) ** 2 + 1.0 / (so_cy + co_sy) ** 2
+        law /= law.sum(axis=1, keepdims=True)
     for row in np.flatnonzero(on_grid):
         law[row] = ae_mixture(float(angles[row]), t)
     return law if np.ndim(theta) else law[0]

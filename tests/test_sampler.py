@@ -2,8 +2,7 @@
 
 ``ae_outcomes`` must return exactly what ``Generator.choice`` returns on the
 literal outcome law for the same uniforms, and the blocked step-1 distance
-stage and the exact Grover search must reproduce the per-pair and
-per-iteration loops they replaced, draw for draw.
+stage must reproduce the per-pair loop it replaced, draw for draw.
 """
 
 import math
@@ -15,9 +14,8 @@ from hypothesis import strategies as st
 
 from qlof import primitives
 from qlof.dataset import RunConfig
-from qlof.ledger import QueryLedger
 from qlof.pipeline import _STREAM_DIST, QuantumLofPipeline
-from qlof.primitives import GROWTH, ae_outcomes, default_cap_rounds, grover_search
+from qlof.primitives import ae_outcomes
 from qlof.qsim import ae_distribution, ae_mixture, pe_kernel, theta_from_outcome
 from qlof.synthetic import gaussian_clusters, random_dataset
 
@@ -125,41 +123,3 @@ def test_distance_estimates_equal_the_per_pair_loop(backend, make):
     for seed in (1, 2):
         pipe = QuantumLofPipeline(make(), RunConfig(k=3, backend=backend, seed=seed))
         assert np.array_equal(pipe.distance_estimates(), _reference_distances(pipe))
-
-
-def _reference_exact_search(marked, rng, ledger):
-    """grover_search(exact=True) with every statevector iteration run."""
-    m = marked.size
-    dim = 1 << max(1, math.ceil(math.log2(m)))
-    psi0 = np.zeros(dim)
-    psi0[:m] = 1.0 / math.sqrt(m)
-    mask = np.zeros(dim, dtype=bool)
-    mask[:m] = marked
-    found, queries, big_m = None, 0, 1.0
-    for _ in range(default_cap_rounds(m)):
-        r = int(rng.integers(math.ceil(big_m)))
-        amps = psi0.astype(np.complex128)
-        for _ in range(r):
-            amps = np.where(mask, -amps, amps)
-            amps = 2.0 * psi0 * np.vdot(psi0, amps) - amps
-        p = np.abs(amps) ** 2
-        y = int(rng.choice(dim, p=p / p.sum()))
-        queries += r + 1
-        if marked[y]:
-            found = y
-            break
-        big_m = min(GROWTH * big_m, math.sqrt(m))
-    ledger.charge("pred", queries)
-    return found
-
-
-@pytest.mark.parametrize("m", [5, 12, 16, 40])
-def test_exact_grover_search_matches_the_iterated_statevector(m):
-    for seed in range(3):
-        for marked in (np.zeros(m, dtype=bool), np.arange(m) % 7 == 3):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            led, ref_led = QueryLedger(), QueryLedger()
-            got = grover_search(marked, rng, ledger=led, exact=True)
-            assert got == _reference_exact_search(marked, ref_rng, ref_led)
-            assert led.as_dict() == ref_led.as_dict()
-            assert rng.random() == ref_rng.random()
