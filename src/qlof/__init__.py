@@ -14,14 +14,11 @@ from .dataset import (
     RunConfig,
     from_points,
     load_csv,
-    normalized_distance,
-    oracle_ox,
 )
 from .fixedpoint import (
     FixedPoint,
     FixedPointOverflowError,
     FormatMismatchError,
-    decode,
     encode,
     q_add,
     q_div,
@@ -34,11 +31,7 @@ from .lof import (
     NeighborhoodTable,
     build_table,
     flag,
-    k_distance,
     lof_all,
-    lrd,
-    neighborhood,
-    reach_dist,
 )
 from .pipeline import ErrorBudget, QuantumLofPipeline, RatioBoundError
 from .primitives import (

@@ -155,13 +155,8 @@ def _report_csv(report: LofReport) -> str:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ConfigError(f"k={args.k} must be >= 1")
-    if args.delta <= 0:
-        raise ConfigError("delta must be positive")
     ds = load_csv(str(args.input))
-    if args.k > ds.m - 1:
-        raise ConfigError(f"k={args.k} outside [1, m-1={ds.m - 1}]")
+    RunConfig(k=args.k, delta=args.delta).validate(ds.m)
     report = classical_flag(ds, args.k, args.delta)
     payload = {
         "schema": 1,

@@ -1,25 +1,20 @@
-"""Dataset loading, validation, normalization, and the data-access oracle.
+"""Dataset loading, validation, normalization, and the run configuration.
 
 The dataset is an immutable m x n real matrix.  Its global normalization
 constant ``c_norm`` is the largest coordinate difference over all point pairs
 and coordinates, so every pairwise Euclidean distance divided by
 ``sqrt(n) * c_norm`` lies in [0, 1] and fits the rotation-angle encoding used
-by the quantum pipeline.
-
-``oracle_ox`` emulates the QRAM lookup |i>|j>|0> -> |i>|j>|x_j^i>: a classical
-indexed read whose applications are counted by the query ledger (one charge per
-application in the control flow, superposition free).
+by the quantum pipeline.  The pipeline charges the data-access oracle
+|i>|j>|0> -> |i>|j>|x_j^i> through its query ledger; classically it is an
+indexed read of ``points``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ledger import QueryLedger
 
 
 class DataError(Exception):
@@ -55,9 +50,6 @@ class Dataset:
 
     def summary(self) -> dict:
         return {"m": self.m, "n": self.n, "c_norm": self.c_norm}
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
 
 
 def from_points(points: np.ndarray) -> Dataset:
@@ -119,27 +111,6 @@ def load_csv(path: str) -> Dataset:
     return from_points(np.array(rows, dtype=float))
 
 
-def oracle_ox(ds: Dataset, i: int, j: int, ledger: QueryLedger | None = None) -> float:
-    """Indexed coordinate lookup x_j^i (0-based), charged as one O_X query."""
-    if not 0 <= i < ds.m:
-        raise IndexError(f"point index {i} outside [0, {ds.m})")
-    if not 0 <= j < ds.n:
-        raise IndexError(f"coordinate index {j} outside [0, {ds.n})")
-    if ledger is not None:
-        ledger.charge("o_x")
-    return float(ds.points[i, j])
-
-
-def normalized_distance(ds: Dataset, i: int, t: int) -> float:
-    """d-bar(i, t) = ||x^i - x^t|| / (sqrt(n) * c_norm), always in [0, 1]."""
-    if i == t:
-        raise ValueError("normalized_distance requires two distinct points")
-    if not (0 <= i < ds.m and 0 <= t < ds.m):
-        raise IndexError(f"point index outside [0, {ds.m})")
-    d = float(np.linalg.norm(ds.points[i] - ds.points[t]))
-    return d / (math.sqrt(ds.n) * ds.c_norm)
-
-
 def raw_distance_matrix(ds: Dataset) -> np.ndarray:
     """All pairwise Euclidean distances; diagonal 0."""
     diff = ds.points[:, None, :] - ds.points[None, :, :]
@@ -147,6 +118,7 @@ def raw_distance_matrix(ds: Dataset) -> np.ndarray:
 
 
 def normalized_distance_matrix(ds: Dataset) -> np.ndarray:
+    """d-bar(i, t) = ||x^i - x^t|| / (sqrt(n) * c_norm) for every pair, in [0, 1]."""
     return raw_distance_matrix(ds) / (math.sqrt(ds.n) * ds.c_norm)
 
 
@@ -179,6 +151,9 @@ class RunConfig:
     def validate(self, m: int) -> None:
         if not 1 <= self.k <= m - 1:
             raise ConfigError(f"k={self.k} outside [1, m-1={m - 1}]")
+        for name in ("delta", "ratio_safety", "budget_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
         if self.fp_frac >= self.fp_width or self.fp_frac < 1:
@@ -198,6 +173,8 @@ class RunConfig:
             raise ConfigError("ratio_safety must be >= 1")
         if self.min_boost < 1:
             raise ConfigError("min_boost must be >= 1")
+        if self.budget_multiplier <= 0:
+            raise ConfigError("budget_multiplier must be positive")
 
     @property
     def eps_dist(self) -> float:

@@ -83,10 +83,6 @@ def encode(v: float, width: int, frac: int) -> FixedPoint:
     return FixedPoint(bits, width, frac)
 
 
-def decode(x: FixedPoint) -> float:
-    return x.value
-
-
 def zero(width: int, frac: int) -> FixedPoint:
     return FixedPoint(0, width, frac)
 
@@ -119,11 +115,6 @@ def q_mul_add(x: FixedPoint, y: FixedPoint, z: FixedPoint) -> FixedPoint:
         )
     bits = (z.bits + x.bits * y.bits) & ((1 << z.width) - 1)
     return FixedPoint(bits, z.width, z.frac)
-
-
-def widen(x: FixedPoint) -> FixedPoint:
-    """Embed (w, f) into (2w, 2f) without changing the value."""
-    return FixedPoint(x.bits << x.frac, 2 * x.width, 2 * x.frac)
 
 
 def q_max(a: FixedPoint, b: FixedPoint) -> FixedPoint:

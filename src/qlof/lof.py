@@ -2,13 +2,16 @@
 
 Direct O(m^2 * n * k) pairwise computation with no spatial index, so the code
 is transparently correct and serves as the brute-force oracle for every
-quantum-pipeline equivalence test.
+quantum-pipeline equivalence test.  Three entry points: :func:`build_table`
+(k-distances and neighborhoods), :func:`lof_all` (outlier factors) and
+:func:`flag` (densities, outlier factors, flags and the error-budget inputs
+in one :class:`LofReport`).
 
-Distance convention: every operation takes ``normalized`` (default True),
-selecting d-bar = d / (sqrt(n) * c_norm) or the raw Euclidean d.  LOF values
-are identical under both (the constant cancels in the density ratios); the
-local reachability density scales by the constant, which is why both
-conventions are exposed.
+Distance convention: every quantity is computed on the normalized distances
+d-bar = d / (sqrt(n) * c_norm) that the quantum pipeline encodes.  LOF values
+equal the raw-distance ones (the constant cancels in the density ratios); a
+raw k-distance is the normalized one times sqrt(n) * c_norm, a raw local
+reachability density the normalized one divided by it.
 
 Tie semantics: the k-distance is the k-th order statistic of the distances to
 the other points, and the neighborhood is everything at distance <= k-distance,
@@ -23,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    DegenerateDataError,
-    normalized_distance_matrix,
-    raw_distance_matrix,
-)
+from .dataset import Dataset, DegenerateDataError, normalized_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,10 @@ class NeighborRow:
 
 @dataclass(frozen=True)
 class NeighborhoodTable:
-    """Neighborhood rows for every point, under one distance convention."""
+    """Neighborhood rows for every point."""
 
     rows: list[NeighborRow]
     k: int
-    normalized: bool = True
 
     @property
     def m(self) -> int:
@@ -65,11 +62,11 @@ class NeighborhoodTable:
 class LofReport:
     """Outlier factors and flags for a whole dataset.
 
-    ``lrd`` follows the table's distance convention (normalized by default);
-    ``lof`` is convention-free.  ``max_density_ratio`` is the largest
-    lrd(t)/lrd(i) over points i and their neighbors t (the rotation ceiling
-    before its safety factor); ``dist_floor_sq`` is the largest P such that
-    at least half of every point's neighbor distances are >= sqrt(P).
+    ``kdist`` and ``lrd`` are in normalized distance units; ``lof`` is
+    unit-free.  ``max_density_ratio`` is the largest lrd(t)/lrd(i) over
+    points i and their neighbors t (the rotation ceiling before its safety
+    factor); ``dist_floor_sq`` is the largest P such that at least half of
+    every point's neighbor distances are >= sqrt(P).
     """
 
     k: int
@@ -111,34 +108,12 @@ class LofReport:
         }
 
 
-def _distances(ds: Dataset, normalized: bool) -> np.ndarray:
-    return normalized_distance_matrix(ds) if normalized else raw_distance_matrix(ds)
-
-
-def _check_k(ds: Dataset, k: int) -> None:
+def build_table(ds: Dataset, k: int) -> NeighborhoodTable:
+    """Every point's k-distance and neighborhood: all points within the
+    k-distance (>= k members, more on ties)."""
     if not 1 <= k <= ds.m - 1:
         raise ValueError(f"k={k} outside [1, m-1={ds.m - 1}]")
-
-
-def k_distance(ds: Dataset, i: int, k: int, normalized: bool = True) -> float:
-    """k-th smallest distance from point i to the other points."""
-    return neighborhood(ds, i, k, normalized=normalized).kdist
-
-
-def neighborhood(ds: Dataset, i: int, k: int, normalized: bool = True) -> NeighborRow:
-    """All points within the k-distance of i (>= k members, more on ties)."""
-    return build_table(ds, k, normalized=normalized).rows[i]
-
-
-def reach_dist(ds: Dataset, i: int, t: int, k: int, normalized: bool = True) -> float:
-    """max(k-distance(t), d(i, t)): the distance, floored by t's k-distance."""
-    d = _distances(ds, normalized)[i, t]
-    return float(max(k_distance(ds, t, k, normalized=normalized), d))
-
-
-def build_table(ds: Dataset, k: int, normalized: bool = True) -> NeighborhoodTable:
-    _check_k(ds, k)
-    dmat = _distances(ds, normalized)
+    dmat = normalized_distance_matrix(ds)
     rows = []
     for i in range(ds.m):
         d = dmat[i]
@@ -147,7 +122,7 @@ def build_table(ds: Dataset, k: int, normalized: bool = True) -> NeighborhoodTab
         rows.append(
             NeighborRow(kdist=kd, neighbors=members, dists=[float(d[t]) for t in members])
         )
-    return NeighborhoodTable(rows=rows, k=k, normalized=normalized)
+    return NeighborhoodTable(rows=rows, k=k)
 
 
 def _densities(table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray, float]:
@@ -177,31 +152,17 @@ def _densities(table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray, float]
     return lrd, lof, max_ratio
 
 
-def lrd(ds: Dataset, i: int, k: int, normalized: bool = True) -> float:
-    """Local reachability density of point i.
-
-    Scales as 1/c under coordinate scaling by c when normalized=False; the
-    normalized variant is scale-invariant.
-    """
-    return float(_densities(build_table(ds, k, normalized=normalized))[0][i])
-
-
 def lof_all(ds: Dataset, k: int) -> np.ndarray:
     """Outlier factor of every point: mean ratio of the neighbors' densities
     to the point's own density."""
     return _densities(build_table(ds, k))[1]
 
 
-def lof(ds: Dataset, i: int, k: int) -> float:
-    """Outlier factor of point i."""
-    return float(lof_all(ds, k)[i])
-
-
-def flag(ds: Dataset, k: int, delta: float, normalized: bool = True) -> LofReport:
+def flag(ds: Dataset, k: int, delta: float) -> LofReport:
     """Full classical run: anomaly iff LOF >= delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    table = build_table(ds, k, normalized=normalized)
+    table = build_table(ds, k)
     dens, lofs, max_ratio = _densities(table)
     floor = min(sorted(r.dists, reverse=True)[math.ceil(r.count / 2) - 1] for r in table.rows)
     return LofReport(

@@ -154,16 +154,6 @@ class QuantumLofPipeline:
         d = float(np.linalg.norm(self.ds.points[i] - self.ds.points[t]))
         return (d / (math.sqrt(self.ds.n) * self.ds.c_norm)) ** 2
 
-    def estimate_distance(self, i: int, t: int) -> float:
-        """Frozen step-1 estimate of the normalized distance d-bar(i, t).
-
-        Median of ``ae_repeats`` amplitude-estimation draws of the rotation
-        angle, mapped through sin.  Symmetric and deterministic per run.
-        """
-        if i == t:
-            raise ValueError("distance estimation requires two distinct points")
-        return float(self.distance_estimates()[i, t])
-
     def distance_estimates(self) -> np.ndarray:
         """All pairwise frozen estimates sin(theta_hat(i, t)), symmetric.
 
@@ -209,7 +199,6 @@ class QuantumLofPipeline:
             budget_multiplier=cfg.budget_multiplier,
             boost=cfg.min_boost,
             ledger=self.ledger,
-            exact=False,
             charge={**self._dist_eval_cost, "step1.value_query": 1},
         )
         return res.value, [j + (j >= i) for j in res.indices]
@@ -235,7 +224,7 @@ class QuantumLofPipeline:
     ) -> tuple[list[int], bool]:
         """Collect the neighborhood by Grover search with exclusion.
 
-        Runs until a search confirms saturation; ``expected`` plus a margin
+        Runs until a search confirms saturation; ``expected`` plus two
         (and the configured shot budget) caps the invocations.  Returns
         (sorted neighbor indices, saturation confirmed).
         """
@@ -247,7 +236,6 @@ class QuantumLofPipeline:
             ledger=self.ledger,
             exact=(cfg.backend == "exact"),
             expected=expected,
-            margin=2,
             seed_found=seeds,
             max_invocations=cfg.shots,
             charge={**self._dist_eval_cost, "step1.pred_query": 1},
@@ -287,7 +275,7 @@ class QuantumLofPipeline:
                     dists=[float(dist[i, t]) for t in neighbors],
                 )
             )
-        return NeighborhoodTable(rows=rows, k=self.config.k, normalized=True)
+        return NeighborhoodTable(rows=rows, k=self.config.k)
 
     # ------------------------------------------------------------------
     # Step 2: densities in reversible fixed point

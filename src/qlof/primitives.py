@@ -44,7 +44,6 @@ from .qsim import (
     ae_distribution,
     ae_mixture,
     phase_estimate,
-    prepare_uniform,
     theta_from_outcome,
 )
 
@@ -197,24 +196,24 @@ def amplitude_estimate_via_qpe(
 
 
 def _grover_outcome_law(
-    marked: np.ndarray,
-    m: int,
+    order: np.ndarray,
+    tcount: int,
     r: int,
     rng: np.random.Generator,
 ) -> int:
-    """Sample the measured index after r Grover iterations (closed form)."""
-    idx = np.nonzero(marked)[0]
-    tcount = idx.size
+    """Sample the measured index after r Grover iterations (closed form).
+
+    ``order`` lists the domain with its ``tcount`` marked indices first.
+    """
+    m = order.size
     if tcount == 0:
         return int(rng.integers(m))
     if tcount == m:
-        return int(idx[rng.integers(tcount)])
+        return int(order[rng.integers(m)])
     theta = math.asin(math.sqrt(tcount / m))
-    p_good = math.sin((2 * r + 1) * theta) ** 2
-    if rng.random() < p_good:
-        return int(idx[rng.integers(tcount)])
-    unmarked = np.nonzero(~marked)[0]
-    return int(unmarked[rng.integers(unmarked.size)])
+    if rng.random() < math.sin((2 * r + 1) * theta) ** 2:
+        return int(order[rng.integers(tcount)])
+    return int(order[tcount + rng.integers(m - tcount)])
 
 
 def _grover_outcome_exact(
@@ -264,7 +263,8 @@ def grover_search(
         raise ValueError("domain must contain at least one element")
     if cap_rounds is None:
         cap_rounds = default_cap_rounds(m)
-    outcome_fn = _grover_outcome_exact if exact else _grover_outcome_law
+    order = np.argsort(~marked, kind="stable")
+    tcount = int(np.count_nonzero(marked))
 
     found = None
     queries = 0
@@ -272,7 +272,10 @@ def grover_search(
     sqrt_m = math.sqrt(m)
     for _ in range(cap_rounds):
         r = int(rng.integers(math.ceil(big_m)))
-        y = outcome_fn(marked, m, r, rng)
+        if exact:
+            y = _grover_outcome_exact(marked, m, r, rng)
+        else:
+            y = _grover_outcome_law(order, tcount, r, rng)
         queries += r + 1
         if marked[y]:
             found = y
@@ -289,7 +292,6 @@ def grover_collect(
     ledger: QueryLedger | None = None,
     exact: bool = False,
     expected: int | None = None,
-    margin: int = 2,
     seed_found: Sequence[int] | None = None,
     max_invocations: int | None = None,
     charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
@@ -297,17 +299,15 @@ def grover_collect(
     """Collect all marked indices by repeated search with exclusion.
 
     Stops when a search confirms saturation (returns None) or when the
-    invocation cap is reached.  Returns (sorted solutions, saturated).
+    invocation cap, ``expected`` plus two (the domain size plus two when
+    ``expected`` is None), is reached.  Returns (sorted solutions, saturated).
     ``seed_found`` pre-populates with solutions already known classically.
     """
     marked = np.asarray(marked, dtype=bool)
     found = np.zeros(marked.size, dtype=bool)
     if seed_found:
         found[list(seed_found)] = True
-    if expected is not None:
-        cap = max(expected + margin, 1)
-    else:
-        cap = marked.size + margin
+    cap = max(expected + 2, 1) if expected is not None else marked.size + 2
     if max_invocations is not None:
         cap = min(cap, max_invocations)
     saturated = False
@@ -340,7 +340,6 @@ def _dh_single(
     sorted_vals: np.ndarray,
     rng: np.random.Generator,
     budget: int,
-    exact: bool,
 ) -> tuple[int, float, int]:
     """One Durr-Hoyer pass: threshold descent until the budget is exhausted."""
     m = values.size
@@ -352,17 +351,7 @@ def _dh_single(
     while queries < budget:
         r = int(rng.integers(math.ceil(big_m)))
         tcount = int(np.searchsorted(sorted_vals, best_v, side="left"))
-        if exact:
-            marked = values < best_v
-            y = _grover_outcome_exact(marked, m, r, rng)
-        elif tcount == 0:
-            y = int(rng.integers(m))
-        else:
-            theta = math.asin(math.sqrt(tcount / m))
-            if rng.random() < math.sin((2 * r + 1) * theta) ** 2:
-                y = int(order[rng.integers(tcount)])
-            else:
-                y = int(order[tcount + rng.integers(m - tcount)])
+        y = _grover_outcome_law(order, tcount, r, rng)
         queries += r + 1
         v = float(values[y])
         if v < best_v:
@@ -382,7 +371,6 @@ def quantum_min(
     budget_multiplier: float = 22.5,
     boost: int = 1,
     ledger: QueryLedger | None = None,
-    exact: bool = False,
     charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
 ) -> MinResult:
     """Find an argmin of ``values`` in O(sqrt(m)) value queries.
@@ -404,7 +392,7 @@ def quantum_min(
 
     best_i, best_v, total = -1, math.inf, 0
     for _ in range(boost):
-        i, v, q = _dh_single(values, order, sorted_vals, rng, budget, exact)
+        i, v, q = _dh_single(values, order, sorted_vals, rng, budget)
         total += q
         if (v, i) < (best_v, best_i) or best_i < 0:
             best_i, best_v = i, v
@@ -427,7 +415,6 @@ def kth_smallest(
     budget_multiplier: float = 22.5,
     boost: int = 1,
     ledger: QueryLedger | None = None,
-    exact: bool = False,
     charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
 ) -> KthSmallestResult:
     """k successive minimum searches, each excluding the indices already found.
@@ -451,7 +438,6 @@ def kth_smallest(
             budget_multiplier=budget_multiplier,
             boost=boost,
             ledger=ledger,
-            exact=exact,
             charge=charge,
         )
         found.append(res.index)
@@ -484,13 +470,7 @@ def quantum_count(
     m = marked.size
     if m < 1:
         raise ValueError("domain must contain at least one element")
-    if t < 1:
-        raise ValueError("need at least one precision qubit")
-    if repeats < 1 or repeats % 2 == 0:
-        raise ValueError("repeats must be a positive odd integer")
-    theta = math.asin(math.sqrt(np.count_nonzero(marked) / m))
-    ys = ae_outcomes([theta], t, rng.random((1, repeats)))
-    raw = m * math.sin(theta_from_outcome(int(folded_median(ys, t)[0]), t)) ** 2
+    raw = m * amplitude_estimate(np.count_nonzero(marked) / m, t, rng, repeats).a_hat
     queries = repeats * ((1 << t) - 1)
     if ledger is not None:
         ledger.charge_many(charge, queries)
@@ -505,16 +485,3 @@ def counting_tolerance(m: int, true_count: int, t: int) -> float:
         2.0 * math.pi * math.sqrt(true_count * (m - true_count)) / n
         + (math.pi**2) * m / (n * n)
     )
-
-
-def uniform_preparer(m: int, nq: int | None = None) -> Callable[[], StateVector]:
-    """State-preparer for the uniform superposition over [0, m)."""
-    if nq is None:
-        nq = max(1, math.ceil(math.log2(m)))
-
-    def prepare() -> StateVector:
-        sv = StateVector([("x", nq)])
-        prepare_uniform(sv, "x", m)
-        return sv
-
-    return prepare

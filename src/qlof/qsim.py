@@ -14,7 +14,9 @@ pipeline composes:
 * phase estimation, either by materializing the full precision register and
   applying the inverse QFT, or analytically from the eigenstructure; both
   paths produce the same outcome distribution and are cross-checked in tests,
-* computational-basis measurement with seeded sampling.
+  with seeded sampling of the phase register,
+* the amplitude-estimation outcome law, literally as a mixture of two
+  phase-estimation kernels and in closed form over blocks of angles.
 
 Norm is asserted to 1e-10 after every operation.
 """
@@ -115,13 +117,6 @@ class StateVector:
         norm = float(np.sum(np.abs(self.amps) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
             raise QsimError(f"state norm drifted to {norm}")
-
-    def copy(self) -> "StateVector":
-        out = StateVector.__new__(StateVector)
-        out.registers = self.registers
-        out.n_qubits = self.n_qubits
-        out.amps = self.amps.copy()
-        return out
 
 
 def prepare_uniform(sv: StateVector, reg: str, domain: int) -> StateVector:
@@ -260,20 +255,6 @@ def controlled_value_rotation(
     return sv
 
 
-def measure(
-    sv: StateVector,
-    reg: str,
-    shots: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """i.i.d. samples from the register's marginal distribution."""
-    if shots < 1:
-        raise QsimError("shots must be >= 1")
-    p = sv.probabilities(reg)
-    p = p / p.sum()
-    return rng.choice(p.size, size=shots, p=p)
-
-
 # ---------------------------------------------------------------------------
 # Grover operator and phase estimation
 # ---------------------------------------------------------------------------
@@ -303,10 +284,6 @@ class GroverOperator:
         sign = np.where(self.good_mask, -1.0, 1.0)
         flip = np.diag(sign.astype(np.complex128))  # I - 2 P_good
         return 2.0 * np.outer(self.psi, self.psi.conj()) @ flip - flip
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        flipped = np.where(self.good_mask, -vec, vec)
-        return 2.0 * self.psi * np.vdot(self.psi, flipped) - flipped
 
 
 def grover_operator(
@@ -350,14 +327,13 @@ def phase_distribution(
     psi0: np.ndarray,
     t: int,
     method: str = "auto",
-    capacity: int = DEFAULT_CAPACITY,
 ) -> np.ndarray:
     """Exact outcome distribution of t-qubit phase estimation of U on psi0.
 
     "materialized" builds the joint precision+system state and applies the
     inverse QFT; "analytic" expands psi0 in U's eigenbasis and sums the
     per-eigenphase kernels.  Both are exact and agree; "auto" materializes
-    when the joint register fits the capacity.
+    when the joint register fits the simulator's qubit capacity.
     """
     mat = u.matrix if isinstance(u, GroverOperator) else np.asarray(u)
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -366,13 +342,13 @@ def phase_distribution(
         raise QsimError("unitary and state dimensions do not match")
     q = int(round(math.log2(dim)))
     if method == "auto":
-        method = "materialized" if t + q <= capacity else "analytic"
+        method = "materialized" if t + q <= DEFAULT_CAPACITY else "analytic"
 
     n = 1 << t
     if method == "materialized":
-        if t + q > capacity:
+        if t + q > DEFAULT_CAPACITY:
             raise CapacityError(
-                f"phase estimation needs {t + q} qubits, capacity is {capacity}"
+                f"phase estimation needs {t + q} qubits, capacity is {DEFAULT_CAPACITY}"
             )
         # Joint state after the controlled powers: (1/sqrt(N)) sum_x |x> U^x |psi0>.
         block = np.empty((n, dim), dtype=np.complex128)
@@ -435,7 +411,7 @@ def ae_distribution(theta: float | np.ndarray, t: int) -> np.ndarray:
     arc = math.pi * np.arange(n) / n
     so_cy = np.sin(angles)[:, None] * np.cos(arc)
     co_sy = np.cos(angles)[:, None] * np.sin(arc)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         law = 1.0 / (so_cy - co_sy) ** 2 + 1.0 / (so_cy + co_sy) ** 2
         law /= law.sum(axis=1, keepdims=True)
     for row in np.flatnonzero(on_grid):
@@ -459,7 +435,6 @@ def phase_estimate(
     method: str = "auto",
     ledger: QueryLedger | None = None,
     charge: Mapping[str, int] = MappingProxyType({"controlled_u": 1}),
-    capacity: int = DEFAULT_CAPACITY,
 ) -> np.ndarray:
     """Sample phase-register outcomes y in [0, 2^t).
 
@@ -468,7 +443,7 @@ def phase_estimate(
     """
     if t < 1:
         raise QsimError("phase estimation needs at least one precision qubit")
-    probs = phase_distribution(u, psi0, t, method=method, capacity=capacity)
+    probs = phase_distribution(u, psi0, t, method=method)
     if ledger is not None:
         ledger.charge_many(charge, ((1 << t) - 1) * shots)
     return rng.choice(probs.size, size=shots, p=probs)

@@ -82,6 +82,25 @@ def test_ratio_bound_exit(toy_csv, tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and "--ratio-safety" in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--budget-multiplier", "nan"],
+        ["compare", "--ratio-safety", "nan"],
+        ["compare", "--ratio-safety", "inf"],
+        ["compare", "--delta", "nan"],
+        ["classical", "--delta", "nan"],
+    ],
+)
+def test_non_finite_knob_is_a_config_error(toy_csv, tmp_path, capsys, argv):
+    command, knob, value = argv
+    rc = main([command, str(toy_csv), "--k", "2", knob, value, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == [toy_csv]  # no manifest or report written
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and knob[2:].replace("-", "_") in err
+
+
 def test_compare_toy_matches(toy_csv, tmp_path):
     out = tmp_path / "cmp"
     rc = main(

@@ -11,12 +11,9 @@ from qlof.dataset import (
     ConfigError,
     from_points,
     load_csv,
-    normalized_distance,
     normalized_distance_matrix,
-    oracle_ox,
     raw_distance_matrix,
 )
-from qlof.ledger import QueryLedger
 
 
 def test_load_csv_single_column(tmp_path):
@@ -67,31 +64,19 @@ def test_missing_file():
 
 
 def test_summary_json():
+    # The manifests' "dataset" entry: the summary written as JSON.
     ds = from_points([[0.0], [1.0], [2.0]])
-    assert json.loads(ds.summary_json()) == {"m": 3, "n": 1, "c_norm": 2.0}
-
-
-def test_oracle_ox_lookups_and_ledger():
-    ds = from_points([[0.0], [1.0], [2.0]])
-    led = QueryLedger()
-    assert oracle_ox(ds, 1, 0, led) == 1.0
-    assert oracle_ox(ds, 2, 0, led) == 2.0
-    assert led.get("o_x") == 2
-    with pytest.raises(IndexError):
-        oracle_ox(ds, 3, 0)
-    with pytest.raises(IndexError):
-        oracle_ox(ds, 0, 1)
+    assert json.loads(json.dumps(ds.summary())) == {"m": 3, "n": 1, "c_norm": 2.0}
 
 
 def test_normalized_distance_examples():
     ds = from_points([[0.0], [2.0]])
-    assert normalized_distance(ds, 0, 1) == 1.0  # the maximal pair attains 1
+    assert normalized_distance_matrix(ds)[0, 1] == 1.0  # the maximal pair attains 1
     ds2 = from_points([[0.0, 0.0], [3.0, 4.0]])
-    assert math.isclose(normalized_distance(ds2, 0, 1), 5.0 / (math.sqrt(2) * 4.0))
+    assert math.isclose(normalized_distance_matrix(ds2)[0, 1], 5.0 / (math.sqrt(2) * 4.0))
     ds3 = from_points([[0.0], [1.0], [1.0]])
-    assert normalized_distance(ds3, 1, 2) == 0.0
-    with pytest.raises(ValueError):
-        normalized_distance(ds, 0, 0)
+    assert normalized_distance_matrix(ds3)[1, 2] == 0.0
+    assert np.all(np.diag(normalized_distance_matrix(ds3)) == 0.0)
 
 
 def test_distance_symmetry_bounds_triangle():
@@ -128,6 +113,12 @@ def test_run_config_validation():
         RunConfig(k=2, ae_repeats=2).validate(4)
     with pytest.raises(ConfigError):
         RunConfig(k=2, backend="other").validate(4)
+    for knob in ("delta", "ratio_safety", "budget_multiplier"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=knob):
+                RunConfig(k=2, **{knob: bad}).validate(4)
+    with pytest.raises(ConfigError):
+        RunConfig(k=2, budget_multiplier=0.0).validate(4)
 
 
 def test_eps_properties():

@@ -10,7 +10,6 @@ from qlof.fixedpoint import (
     q_div,
     q_max,
     q_mul_add,
-    widen,
     zero,
 )
 
@@ -76,7 +75,7 @@ def test_q_mul_add_identity_widens():
     for v in rng.random(50) * 3.9:
         y = encode(float(v), 8, 6)
         out = q_mul_add(one, y, zero(16, 12))
-        assert out == widen(y)
+        assert out == FixedPoint(y.bits << y.frac, 16, 12)  # y embedded in (2w, 2f)
         assert out.value == y.value
 
 

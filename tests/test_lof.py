@@ -5,21 +5,15 @@ import numpy as np
 import pytest
 
 from qlof.dataset import DegenerateDataError, from_points
-from qlof.lof import (
-    flag,
-    k_distance,
-    lof,
-    lof_all,
-    lrd,
-    neighborhood,
-    reach_dist,
-)
+from qlof.lof import build_table, flag, lof_all
 
 TOY = [[0.0], [1.0], [2.0], [10.0]]  # three-point cluster plus one far outlier
 
 # Frozen by hand from the definitions (k = 2, raw distances):
 #   k-distances [2, 1, 2, 9]; neighborhoods {1,2},{0,2},{0,1},{1,2}
 #   lrd [2/3, 1/2, 2/3, 2/17]; LOF [7/8, 4/3, 7/8, 119/24]
+# The library works in normalized distances d / (sqrt(n) * c_norm); on TOY
+# that divides every distance by 10 and multiplies every density by 10.
 TOY_KDIST_RAW = [2.0, 1.0, 2.0, 9.0]
 TOY_NEIGHBORS = [[1, 2], [0, 2], [0, 1], [1, 2]]
 TOY_LRD_RAW = [2.0 / 3.0, 0.5, 2.0 / 3.0, 2.0 / 17.0]
@@ -30,39 +24,45 @@ def toy():
     return from_points(TOY)
 
 
+def raw_lrd(ds, k):
+    """Local reachability densities in raw distance units."""
+    return flag(ds, k, 1.5).lrd / (math.sqrt(ds.n) * ds.c_norm)
+
+
 def test_k_distance_toy_frozen():
     ds = toy()
+    table = build_table(ds, 2)
     for i, kd in enumerate(TOY_KDIST_RAW):
-        assert math.isclose(k_distance(ds, i, 2, normalized=False), kd)
-        assert math.isclose(k_distance(ds, i, 2), kd / 10.0)  # c_norm = 10, n = 1
+        assert math.isclose(table.rows[i].kdist, kd / 10.0)  # c_norm = 10, n = 1
+        assert math.isclose(flag(ds, 2, 1.5).kdist[i] * 10.0, kd)
 
 
 def test_k_distance_simple_grid():
     ds = from_points([[0.0], [1.0], [2.0]])
-    assert math.isclose(k_distance(ds, 0, 1), 0.5)  # raw 1, normalized by 2
+    assert math.isclose(build_table(ds, 1).rows[0].kdist, 0.5)  # raw 1, normalized by 2
     with pytest.raises(ValueError):
-        k_distance(ds, 0, 3)
+        build_table(ds, 3)
 
 
 def test_k_distance_duplicates_count():
     ds = from_points([[0.0], [0.0], [1.0]])
-    assert k_distance(ds, 0, 1, normalized=False) == 0.0
+    assert build_table(ds, 1).rows[0].kdist == 0.0
 
 
 def test_neighborhood_toy_and_ties():
     ds = toy()
     for i, nb in enumerate(TOY_NEIGHBORS):
-        row = neighborhood(ds, i, 2)
+        row = build_table(ds, 2).rows[i]
         assert row.neighbors == nb
         assert row.count >= 2
         assert all(d <= row.kdist for d in row.dists)
 
     grid = from_points([[0.0], [1.0], [2.0]])
-    mid = neighborhood(grid, 1, 1)
+    mid = build_table(grid, 1).rows[1]
     assert mid.neighbors == [0, 2] and mid.count == 2  # tie exceeds k
-    first = neighborhood(grid, 0, 1)
+    first = build_table(grid, 1).rows[0]
     assert first.neighbors == [1] and first.count == 1
-    everyone = neighborhood(grid, 0, 2)
+    everyone = build_table(grid, 2).rows[0]
     assert everyone.neighbors == [1, 2]  # k = m-1 takes all other points
 
 
@@ -73,58 +73,57 @@ def test_neighborhood_second_condition():
         pts = rng.random((10, 2)) * 5
         ds = from_points(pts)
         k = int(rng.integers(1, 5))
-        for i in range(ds.m):
-            row = neighborhood(ds, i, k)
+        for row in build_table(ds, k).rows:
             strictly_inside = sum(1 for d in row.dists if d < row.kdist)
             assert row.count >= k
             assert strictly_inside <= k - 1
 
 
 def test_reach_dist_cases():
-    ds = toy()
-    # Far pair: distance dominates the neighbor's k-distance.
-    assert math.isclose(reach_dist(ds, 3, 2, 2, normalized=False), 8.0)
-    # Close pair: the k-distance floor kicks in.
-    assert math.isclose(reach_dist(ds, 1, 0, 2, normalized=False), 2.0)
-    # Equal case: either operand, same value.
-    assert math.isclose(reach_dist(ds, 0, 2, 2, normalized=False), 2.0)
+    # lrd(i) is the inverse mean of reach-dist(i, t) = max(k-distance(t), d(i, t))
+    # over i's neighbors t; raw reach distances per TOY point, k = 2:
+    reach = {
+        3: [9.0, 8.0],  # far pairs: the distance dominates the k-distances 1 and 2
+        1: [2.0, 2.0],  # close pairs: the k-distance floor 2 lifts distances of 1
+        0: [1.0, 2.0],  # equal cases: k-distance and distance coincide
+    }
+    dens = raw_lrd(toy(), 2)
+    for i, r in reach.items():
+        assert math.isclose(dens[i], 1.0 / (sum(r) / len(r)))
 
 
 def test_lrd_toy_frozen_and_grid():
     ds = toy()
-    for i, expect in enumerate(TOY_LRD_RAW):
-        assert math.isclose(lrd(ds, i, 2, normalized=False), expect)
+    dens = raw_lrd(ds, 2)
+    assert np.allclose(dens, TOY_LRD_RAW)
     grid = from_points([[0.0], [1.0], [2.0]])
-    assert math.isclose(lrd(grid, 1, 1, normalized=False), 1.0)
+    assert math.isclose(raw_lrd(grid, 1)[1], 1.0)
     # Outlier's density is far below the cluster's.
-    dens = [lrd(ds, i, 2, normalized=False) for i in range(4)]
     assert dens[3] < 0.25 * min(dens[:3])
 
 
 def test_lrd_homogeneity():
+    # Scaling the coordinates by c scales the raw densities by 1/c and leaves
+    # the normalized ones unchanged.
     rng = np.random.default_rng(22)
     pts = rng.random((8, 2)) * 3
     ds = from_points(pts)
     for c in (0.5, 2.0, 17.0):
         scaled = from_points(pts * c)
-        for i in range(ds.m):
-            assert math.isclose(
-                lrd(scaled, i, 2, normalized=False),
-                lrd(ds, i, 2, normalized=False) / c,
-                rel_tol=1e-9,
-            )
+        assert np.allclose(raw_lrd(scaled, 2), raw_lrd(ds, 2) / c, rtol=1e-9, atol=0)
+        assert np.allclose(flag(scaled, 2, 1.5).lrd, flag(ds, 2, 1.5).lrd, rtol=1e-9, atol=0)
 
 
 def test_lrd_degenerate_duplicates():
     ds = from_points([[0.0], [0.0], [1.0]])
     with pytest.raises(DegenerateDataError):
-        lrd(ds, 0, 1)
+        flag(ds, 1, 1.5)
 
 
 def test_lof_toy_frozen():
     ds = toy()
     for i, expect in enumerate(TOY_LOF):
-        assert math.isclose(lof(ds, i, 2), expect, rel_tol=1e-12)
+        assert math.isclose(lof_all(ds, 2)[i], expect, rel_tol=1e-12)
     assert np.allclose(lof_all(ds, 2), TOY_LOF)
 
 
@@ -193,4 +192,3 @@ def test_package_attribute_is_the_module():
     import qlof.lof as mod
 
     assert inspect.ismodule(mod) and qlof.lof is mod
-    assert mod.lof is lof  # the function stays importable from the module

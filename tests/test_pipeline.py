@@ -25,12 +25,11 @@ def cfg(**kw):
 
 def test_estimate_distance_certainties():
     ds = from_points([[0.0], [0.0], [2.0]])
-    pipe = QuantumLofPipeline(ds, cfg(k=2, seed=3))
-    assert pipe.estimate_distance(0, 1) == 0.0  # a = 0 is exact in AE
-    assert pipe.estimate_distance(0, 2) == 1.0  # the pair attaining c_norm
-    assert pipe.estimate_distance(0, 2) == pipe.estimate_distance(2, 0)
-    with pytest.raises(ValueError):
-        pipe.estimate_distance(1, 1)
+    dist = QuantumLofPipeline(ds, cfg(k=2, seed=3)).distance_estimates()
+    assert dist[0, 1] == 0.0  # a = 0 is exact in AE
+    assert dist[0, 2] == 1.0  # the pair attaining c_norm
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
 
 
 def test_estimate_distance_error_contract():
@@ -42,7 +41,7 @@ def test_estimate_distance_error_contract():
         pipe = QuantumLofPipeline(
             GRID3, cfg(k=1, seed=s, ae_qubits_dist=8, ae_repeats=1)
         )
-        hits += abs(pipe.estimate_distance(0, 1) - 0.5) <= bound + 1e-12
+        hits += abs(pipe.distance_estimates()[0, 1] - 0.5) <= bound + 1e-12
     sigma = math.sqrt(0.81 * 0.19 / trials)
     assert hits / trials >= 8 / math.pi**2 - 3 * sigma
 

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlof import primitives
 from qlof.dataset import RunConfig
 from qlof.pipeline import _STREAM_DIST, QuantumLofPipeline
-from qlof.primitives import ae_outcomes
+from qlof.primitives import ae_outcomes, amplitude_estimate
 from qlof.qsim import ae_distribution, ae_mixture, pe_kernel, theta_from_outcome
 from qlof.synthetic import gaussian_clusters, random_dataset
 
@@ -52,6 +52,9 @@ def angle_blocks(draw):
     r=st.sampled_from([1, 3, 5, 7]),
     seed=st.integers(0, 2**32 - 1),
 )
+# An angle this close to 0 overflows the closed form's 1/sin^2 before its
+# row is replaced by the literal law.
+@example(block=([1e-158], 1), r=1, seed=0)
 def test_ae_outcomes_equal_choice_on_the_literal_law(block, r, seed):
     thetas, t = block
     got = ae_outcomes(thetas, t, np.random.default_rng(seed).random((len(thetas), r)))
@@ -69,6 +72,10 @@ def test_ae_distribution_rows_match_the_literal_law():
             assert np.allclose(row, literal_law(theta, t), rtol=1e-9, atol=1e-15)
             assert np.array_equal(ae_distribution(float(theta), t), row)
     assert np.array_equal(ae_distribution(0.0, 6), ae_mixture(0.0, 6))
+
+
+def test_amplitude_estimate_of_a_subnormal_amplitude():
+    assert amplitude_estimate(1e-310, 6, np.random.default_rng(0)).theta_hat == 0.0
 
 
 def test_draw_on_a_literal_cdf_step_takes_the_fallback(monkeypatch):
