@@ -1,12 +1,16 @@
-"""Golden `compare` manifests: a refactor must reproduce them byte for byte.
+"""Golden outputs: a refactor must reproduce them byte for byte.
 
-Each directory under ``tests/data/golden`` holds an input CSV, the extra
-`compare` flags (``argv.txt``) and the ``manifest.json`` they produced:
+Each directory under ``tests/data/golden`` holds the extra flags of the
+command (``argv.txt``) and the files it wrote:
 
-* ``exact-m12`` -- ``random_dataset(12, 3)`` on the exact backend with the
-  compare defaults;
+* ``exact-m12`` -- ``random_dataset(12, 3)`` (``data.csv``) on the exact
+  backend with the compare defaults: the `compare` ``manifest.json`` and the
+  `quantum` ``quantum.json``;
 * ``ledger-m48`` -- ``gaussian_clusters(48, 2)`` on the ledger backend with
-  the ``qlof scale`` precisions and ``--ae-qubits-dist 10``.
+  the ``qlof scale`` precisions and ``--ae-qubits-dist 10``: the `compare`
+  ``manifest.json``;
+* ``scale`` -- ``qlof scale`` on its own defaults over a two-point grid:
+  ``scale.csv`` and ``scale.json``.
 
 A deliberate change of the random-number layout regenerates these files.
 """
@@ -20,9 +24,22 @@ from qlof.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
+def _assert_golden(case, argv, outputs, tmp_path):
+    d = GOLDEN / case
+    main([*argv, *(d / "argv.txt").read_text().split(), "--out", str(tmp_path)])
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("case", ["exact-m12", "ledger-m48"])
 def test_compare_manifest_matches_golden(case, tmp_path):
-    d = GOLDEN / case
-    argv = (d / "argv.txt").read_text().split()
-    main(["compare", str(d / "data.csv"), *argv, "--out", str(tmp_path)])
-    assert (tmp_path / "manifest.json").read_bytes() == (d / "manifest.json").read_bytes()
+    _assert_golden(case, ["compare", str(GOLDEN / case / "data.csv")], ["manifest.json"], tmp_path)
+
+
+def test_quantum_report_matches_golden(tmp_path):
+    case = "exact-m12"
+    _assert_golden(case, ["quantum", str(GOLDEN / case / "data.csv")], ["quantum.json"], tmp_path)
+
+
+def test_scale_sweep_matches_golden(tmp_path):
+    _assert_golden("scale", ["scale"], ["scale.csv", "scale.json"], tmp_path)
