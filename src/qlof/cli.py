@@ -26,11 +26,13 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ConfigError, DataParseError, DegenerateDataError, RunConfig, load_csv
+from .dataset import BACKENDS, ConfigError, DataParseError, DegenerateDataError, RunConfig
+from .dataset import load_csv
 from .fixedpoint import FixedPointOverflowError
 from .lof import LofReport, flag as classical_flag
 from .ledger import QueryLedger
@@ -65,45 +67,32 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _add_config_flags(sp: argparse.ArgumentParser, scale_defaults: bool = False) -> None:
-    sp.add_argument("--k", type=int, default=3, help="neighborhood parameter")
-    sp.add_argument("--delta", type=float, default=1.5, help="anomaly threshold")
-    sp.add_argument(
-        "--backend",
-        choices=["exact", "ledger"],
-        default="ledger" if scale_defaults else "exact",
-    )
-    sp.add_argument("--ae-qubits-dist", type=int, default=9 if scale_defaults else 10)
-    sp.add_argument("--ae-qubits-count", type=int, default=5 if scale_defaults else 8)
-    sp.add_argument("--ae-qubits-lof", type=int, default=6 if scale_defaults else 10)
-    sp.add_argument("--ae-repeats", type=int, default=3 if scale_defaults else 5)
-    sp.add_argument("--fp-width", type=int, default=20 if scale_defaults else 16)
-    sp.add_argument("--fp-frac", type=int, default=12)
-    sp.add_argument("--shots", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--min-boost", type=int, default=1 if scale_defaults else 5)
-    sp.add_argument("--ratio-safety", type=float, default=2.0)
-    sp.add_argument("--budget-multiplier", type=float, default=22.5)
+# Where `qlof scale` departs from the RunConfig defaults: the ledger backend
+# at precisions that keep a sweep over m quick.
+SCALE_DEFAULTS = dict(
+    backend="ledger", ae_qubits_dist=9, ae_qubits_count=5, ae_qubits_lof=6,
+    ae_repeats=3, fp_width=20, min_boost=1,
+)
+
+_FLAG_HELP = {"k": "neighborhood parameter", "delta": "anomaly threshold"}
+
+
+def _add_config_flags(sp: argparse.ArgumentParser, defaults: dict | None = None) -> None:
+    """One flag per RunConfig field, defaulting to the field's default unless
+    ``defaults`` overrides it."""
+    for f in fields(RunConfig):
+        sp.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=type(f.default),
+            default=(defaults or {}).get(f.name, f.default),
+            choices=BACKENDS if f.name == "backend" else None,
+            help=_FLAG_HELP.get(f.name),
+        )
     sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        k=args.k,
-        delta=args.delta,
-        fp_width=args.fp_width,
-        fp_frac=args.fp_frac,
-        ae_qubits_dist=args.ae_qubits_dist,
-        ae_qubits_count=args.ae_qubits_count,
-        ae_qubits_lof=args.ae_qubits_lof,
-        ae_repeats=args.ae_repeats,
-        shots=args.shots,
-        seed=args.seed,
-        backend=args.backend,
-        min_boost=args.min_boost,
-        ratio_safety=args.ratio_safety,
-        budget_multiplier=args.budget_multiplier,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,9 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classical", help="classical LOF report")
     sp.add_argument("input", type=Path, help="headerless CSV, one point per row")
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--delta", type=float, default=1.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--k", type=int, default=RunConfig.k)
+    sp.add_argument("--delta", type=float, default=RunConfig.delta)
     sp.add_argument("--out", type=Path, default=Path("."))
 
     sp = sub.add_parser("quantum", help="quantum pipeline report")
@@ -133,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=3, help="seeds per grid point")
     sp.add_argument("--n-dims", type=int, default=2)
     sp.add_argument("--contamination", type=float, default=0.01)
-    _add_config_flags(sp, scale_defaults=True)
+    _add_config_flags(sp, SCALE_DEFAULTS)
 
     sp = sub.add_parser("calibrate-ae", help="amplitude-estimation confidence sweep")
     sp.add_argument("--t-list", default="4,6,8", help="comma-separated precision qubits")
@@ -229,6 +217,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
 
+    base = _config_from_args(args)
     medians: dict[str, list[float]] = {s: [] for s in SCALE_STEPS}
     rows = []
     for m in grid:
@@ -237,9 +226,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
             rng = np.random.default_rng(
                 np.random.SeedSequence([args.seed & 0xFFFFFFFFFFFFFFFF, m, trial])
             )
-            ds = gaussian_clusters(m, args.n_dims, rng, contamination=args.contamination)
-            config = _config_from_args(args)
-            config = RunConfig(**{**config.as_dict(), "seed": args.seed + 7919 * m + trial})
+            try:
+                ds = gaussian_clusters(m, args.n_dims, rng, contamination=args.contamination)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            config = replace(base, seed=args.seed + 7919 * m + trial)
             ledger = QueryLedger()
             QuantumLofPipeline(ds, config, ledger=ledger).run()
             counts = {
@@ -316,7 +307,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
+    try:
+        logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
+    except ValueError as exc:  # an unknown level name
+        print(f"configuration error: LOG_LEVEL: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

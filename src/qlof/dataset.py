@@ -122,30 +122,35 @@ def normalized_distance_matrix(ds: Dataset) -> np.ndarray:
     return raw_distance_matrix(ds) / (math.sqrt(ds.n) * ds.c_norm)
 
 
+BACKENDS = ("exact", "ledger")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a pipeline run.
+    """Every knob of a pipeline run, declared once.
 
-    ae_qubits_* are the precision-register sizes of the three amplitude
-    estimations (distance, neighbor count, outlier factor); the corresponding
-    angle errors are pi / 2**t.  ``backend`` selects full statevector state
-    preparation ("exact") or analytic outcome-law sampling with query
-    accounting only ("ledger").
+    The CLI derives one ``--flag`` per field (underscores become dashes,
+    the type is that of the default) and the manifest's ``config`` block is
+    the field dict.  ae_qubits_* are the precision-register sizes of the three
+    amplitude estimations (distance, neighbor count, outlier factor); the
+    corresponding angle errors are pi / 2**t.  ``backend`` selects full
+    statevector state preparation ("exact") or analytic outcome-law sampling
+    with query accounting only ("ledger").
     """
 
-    k: int
+    k: int = 3
     delta: float = 1.5
-    fp_width: int = 16
-    fp_frac: int = 12
+    backend: str = "exact"
     ae_qubits_dist: int = 10
     ae_qubits_count: int = 8
     ae_qubits_lof: int = 10
     ae_repeats: int = 5
+    fp_width: int = 16
+    fp_frac: int = 12
     shots: int = 64
     seed: int = 0
-    backend: str = "exact"
-    ratio_safety: float = 2.0
     min_boost: int = 5
+    ratio_safety: float = 2.0
     budget_multiplier: float = 22.5
 
     def validate(self, m: int) -> None:
@@ -167,7 +172,7 @@ class RunConfig:
             raise ConfigError("ae_repeats must be a positive odd integer")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
-        if self.backend not in ("exact", "ledger"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.ratio_safety < 1.0:
             raise ConfigError("ratio_safety must be >= 1")
@@ -188,21 +193,3 @@ class RunConfig:
         """Worst-case neighbor-count error over a domain of that size."""
         t = self.ae_qubits_count
         return math.pi * domain / (1 << t) + (math.pi**2) * domain / (1 << (2 * t))
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "delta": self.delta,
-            "fp_width": self.fp_width,
-            "fp_frac": self.fp_frac,
-            "ae_qubits_dist": self.ae_qubits_dist,
-            "ae_qubits_count": self.ae_qubits_count,
-            "ae_qubits_lof": self.ae_qubits_lof,
-            "ae_repeats": self.ae_repeats,
-            "shots": self.shots,
-            "seed": self.seed,
-            "backend": self.backend,
-            "ratio_safety": self.ratio_safety,
-            "min_boost": self.min_boost,
-            "budget_multiplier": self.budget_multiplier,
-        }

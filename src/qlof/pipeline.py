@@ -24,7 +24,7 @@ coherent circuit would carry and keeps all threshold predicates consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,24 +135,29 @@ class QuantumLofPipeline:
         entropy = [self.config.seed & 0xFFFFFFFFFFFFFFFF, stream, *key]
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
-    def _pair_amplitude(self, i: int, t: int) -> float:
-        """Good-branch probability of the distance rotation: d-bar(i,t)^2."""
+    def _rotation_probability(
+        self, values: np.ndarray | list[float], scale: float, mode: str
+    ) -> float:
+        """Good-branch probability of the rotation encoding both steps use: a
+        uniform superposition over ``values`` rotates an ancilla by each value
+        over ``scale`` (:func:`controlled_value_rotation`).  It is the mean of
+        (v/scale)^2 in linear mode (step 1) and of v/scale in sqrt mode
+        (step 3); the ledger backend computes it in closed form."""
         if self.config.backend == "exact":
-            diffs = self.ds.points[i] - self.ds.points[t]
-            jbits = max(1, math.ceil(math.log2(self.ds.n)))
-            sv = StateVector([("j", jbits), ("anc", 1)])
-            prepare_uniform(sv, "j", self.ds.n)
+            sv = StateVector([("j", max(1, math.ceil(math.log2(len(values))))), ("anc", 1)])
+            prepare_uniform(sv, "j", len(values))
             controlled_value_rotation(
-                sv,
-                "j",
-                "anc",
-                scale=self.ds.c_norm,
-                decode=lambda jv: float(diffs[jv]),
-                mode="linear",
+                sv, "j", "anc", scale=scale, decode=lambda jv: float(values[jv]), mode=mode
             )
             return sv.probability("anc", 0)
-        d = float(np.linalg.norm(self.ds.points[i] - self.ds.points[t]))
-        return (d / (math.sqrt(self.ds.n) * self.ds.c_norm)) ** 2
+        if mode == "linear":
+            return (float(np.linalg.norm(values)) / (math.sqrt(len(values)) * scale)) ** 2
+        return float(np.mean(values)) / scale
+
+    def _pair_amplitude(self, i: int, t: int) -> float:
+        """Good-branch probability of the distance rotation: d-bar(i,t)^2."""
+        diffs = self.ds.points[i] - self.ds.points[t]
+        return self._rotation_probability(diffs, self.ds.c_norm, "linear")
 
     def distance_estimates(self) -> np.ndarray:
         """All pairwise frozen estimates sin(theta_hat(i, t)), symmetric.
@@ -216,11 +221,7 @@ class QuantumLofPipeline:
         )
 
     def find_neighbors(
-        self,
-        i: int,
-        kdist: float,
-        expected: int | None = None,
-        seed_found: list[int] | None = None,
+        self, i: int, kdist: float, expected: int, seed_found: list[int]
     ) -> tuple[list[int], bool]:
         """Collect the neighborhood by Grover search with exclusion.
 
@@ -229,7 +230,7 @@ class QuantumLofPipeline:
         (sorted neighbor indices, saturation confirmed).
         """
         cfg = self.config
-        seeds = [t - (t > i) for t in seed_found] if seed_found else None
+        seeds = [t - (t > i) for t in seed_found]
         found, saturated = grover_collect(
             self._others(i) <= kdist,
             self._rng(_STREAM_COLLECT, i),
@@ -329,28 +330,8 @@ class QuantumLofPipeline:
         """Advice input E: classical max density ratio times the safety factor."""
         return self.config.ratio_safety * self._classical.max_density_ratio
 
-    def _lof_amplitude(self, rhos: list[float], bound: float) -> float:
-        if self.config.backend == "exact":
-            nb = len(rhos)
-            jbits = max(1, math.ceil(math.log2(nb))) if nb > 1 else 1
-            sv = StateVector([("j", jbits), ("anc", 1)])
-            prepare_uniform(sv, "j", nb)
-            controlled_value_rotation(
-                sv,
-                "j",
-                "anc",
-                scale=bound,
-                decode=lambda jv: rhos[jv],
-                mode="sqrt",
-            )
-            return sv.probability("anc", 0)
-        return float(np.mean(rhos)) / bound
-
     def compute_lof_all(
-        self,
-        inv_lrd: list[FixedPoint],
-        table: NeighborhoodTable,
-        ratio_bound: float | None = None,
+        self, inv_lrd: list[FixedPoint], table: NeighborhoodTable, ratio_bound: float
     ) -> np.ndarray:
         """Amplitude-estimated outlier factor per point: E * sin^2(alpha_hat).
 
@@ -358,8 +339,6 @@ class QuantumLofPipeline:
         division and must not exceed the rotation ceiling E.
         """
         cfg = self.config
-        if ratio_bound is None:
-            ratio_bound = self.ratio_bound()
         lof_hat = np.empty(table.m)
         for i, row in enumerate(table.rows):
             rhos = []
@@ -372,7 +351,7 @@ class QuantumLofPipeline:
                     )
                 rhos.append(rho.value)
             est = amplitude_estimate(
-                self._lof_amplitude(rhos, ratio_bound),
+                self._rotation_probability(rhos, ratio_bound, "sqrt"),
                 cfg.ae_qubits_lof,
                 self._rng(_STREAM_LOF, i),
                 repeats=cfg.ae_repeats,
@@ -466,7 +445,7 @@ class QuantumLofPipeline:
         return {
             "schema": 1,
             "mode": "compare",
-            "config": cfg.as_dict(),
+            "config": asdict(cfg),
             "dataset": self.ds.summary(),
             "error_budget": budget.as_dict(),
             "points": points,

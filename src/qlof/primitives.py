@@ -15,6 +15,9 @@ Four primitives drive the pipeline:
 
 Every amplitude-estimation draw goes through :func:`ae_outcomes`, which
 samples a block of angles at once; the pipeline's step 1 calls it directly.
+The one exception is the statevector reference
+:func:`amplitude_estimate_via_qpe`, which builds a preparer's Grover operator
+and samples its phase-estimation distribution.
 
 The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
@@ -43,7 +46,8 @@ from .qsim import (
     StateVector,
     ae_distribution,
     ae_mixture,
-    phase_estimate,
+    grover_operator,
+    phase_distribution,
     theta_from_outcome,
 )
 
@@ -57,7 +61,6 @@ class AmplitudeEstimate:
 
     theta_hat: float
     a_hat: float
-    t: int
     queries: int  # state-preparer applications charged
 
 
@@ -67,7 +70,6 @@ class CountEstimate:
 
     count: int
     raw: float
-    t: int
     queries: int
 
 
@@ -156,38 +158,24 @@ def amplitude_estimate(
         raise ValueError("repeats must be a positive odd integer")
     ys = ae_outcomes([theta], t, rng.random((1, repeats)))
     theta_hat = theta_from_outcome(int(folded_median(ys, t)[0]), t)
-    return AmplitudeEstimate(
-        theta_hat=theta_hat,
-        a_hat=math.sin(theta_hat) ** 2,
-        t=t,
-        queries=ae_queries(t, repeats),
-    )
+    return AmplitudeEstimate(theta_hat, math.sin(theta_hat) ** 2, ae_queries(t, repeats))
 
 
 def amplitude_estimate_via_qpe(
     preparer: Callable[[], StateVector],
-    good_flag,
+    good_flag: tuple[str, int],
     t: int,
     rng: np.random.Generator,
-    repeats: int = 1,
-    method: str = "auto",
-    ledger: QueryLedger | None = None,
 ) -> AmplitudeEstimate:
     """Full statevector route: build the Grover operator of the preparer and
-    run phase estimation on it.  Distribution-identical to
-    :func:`amplitude_estimate`; used to validate the outcome law and in demos.
+    sample one outcome of its phase estimation.  Distribution-identical to
+    :func:`amplitude_estimate` at one repeat; the reference the outcome law is
+    checked against, also shown in a demo.
     """
-    from .qsim import grover_operator  # local import keeps module load light
-
     op = grover_operator(preparer, good_flag)
-    ys = phase_estimate(op, t, op.psi, rng, shots=repeats, method=method, ledger=ledger)
-    theta_hat = theta_from_outcome(int(folded_median(ys, t)), t)
-    return AmplitudeEstimate(
-        theta_hat=theta_hat,
-        a_hat=math.sin(theta_hat) ** 2,
-        t=t,
-        queries=ae_queries(t, repeats),
-    )
+    ys = rng.choice(1 << t, size=1, p=phase_distribution(op.matrix, op.psi, t))
+    theta_hat = theta_from_outcome(int(ys[0]), t)
+    return AmplitudeEstimate(theta_hat, math.sin(theta_hat) ** 2, ae_queries(t, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +225,25 @@ def _grover_outcome_exact(
     return int(rng.choice(dim, p=p / p.sum()))
 
 
-def default_cap_rounds(m: int) -> int:
-    """Schedule rounds until saturation at sqrt(m), plus a safety tail."""
-    return math.ceil(math.log(max(math.sqrt(m), 1.0)) / math.log(GROWTH)) + EXTRA_ROUNDS
-
-
 def grover_search(
     marked: np.ndarray,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
     exact: bool = False,
-    cap_rounds: int | None = None,
     charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
 ) -> int | None:
     """Find one marked index with the number of marked indices unknown.
 
     Returns a uniformly random solution (probability >= 1/2 per schedule pass,
-    in practice far higher), or None once ``cap_rounds`` rounds produced
-    nothing -- the T = 0 escape.  Each round of r iterations makes r
-    predicate queries plus one verification query.
+    in practice far higher), or None once the schedule has saturated at
+    sqrt(m) and ``EXTRA_ROUNDS`` more rounds produced nothing -- the T = 0
+    escape.  Each round of r iterations makes r predicate queries plus one
+    verification query.
     """
     marked = np.asarray(marked, dtype=bool)
     m = marked.size
     if m < 1:
         raise ValueError("domain must contain at least one element")
-    if cap_rounds is None:
-        cap_rounds = default_cap_rounds(m)
     order = np.argsort(~marked, kind="stable")
     tcount = int(np.count_nonzero(marked))
 
@@ -270,7 +251,9 @@ def grover_search(
     queries = 0
     big_m = 1.0
     sqrt_m = math.sqrt(m)
-    for _ in range(cap_rounds):
+    # Rounds until the schedule saturates at sqrt(m), plus a safety tail.
+    max_rounds = math.ceil(math.log(max(sqrt_m, 1.0)) / math.log(GROWTH)) + EXTRA_ROUNDS
+    for _ in range(max_rounds):
         r = int(rng.integers(math.ceil(big_m)))
         if exact:
             y = _grover_outcome_exact(marked, m, r, rng)
@@ -474,7 +457,7 @@ def quantum_count(
     queries = repeats * ((1 << t) - 1)
     if ledger is not None:
         ledger.charge_many(charge, queries)
-    return CountEstimate(count=int(round(raw)), raw=raw, t=t, queries=queries)
+    return CountEstimate(count=int(round(raw)), raw=raw, queries=queries)
 
 
 def counting_tolerance(m: int, true_count: int, t: int) -> float:

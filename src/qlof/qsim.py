@@ -11,10 +11,10 @@ pipeline composes:
   ancilla amplitude (linear or square-root mode),
 * Grover operators Q = (2|psi><psi| - I)(I - 2P_good) built from a prepared
   state, with eigenphases +-2*theta where sin^2(theta) = P(good),
-* phase estimation, either by materializing the full precision register and
-  applying the inverse QFT, or analytically from the eigenstructure; both
-  paths produce the same outcome distribution and are cross-checked in tests,
-  with seeded sampling of the phase register,
+* the exact outcome distribution of phase estimation, either by
+  materializing the full precision register and applying the inverse QFT, or
+  analytically from the eigenstructure; both paths produce the same
+  distribution and are cross-checked in tests,
 * the amplitude-estimation outcome law, literally as a mixture of two
   phase-estimation kernels and in closed form over blocks of angles.
 
@@ -71,11 +71,7 @@ class Register:
 class StateVector:
     """Complex amplitudes over named qubit registers."""
 
-    def __init__(
-        self,
-        registers: Sequence[tuple[str, int]],
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    def __init__(self, registers: Sequence[tuple[str, int]]) -> None:
         self.registers: dict[str, Register] = {}
         offset = 0
         for name, width in registers:
@@ -85,9 +81,9 @@ class StateVector:
                 raise QsimError(f"duplicate register name {name!r}")
             self.registers[name] = Register(name, offset, width)
             offset += width
-        if offset > capacity:
+        if offset > DEFAULT_CAPACITY:
             raise CapacityError(
-                f"{offset} qubits requested, capacity is {capacity}"
+                f"{offset} qubits requested, capacity is {DEFAULT_CAPACITY}"
             )
         self.n_qubits = offset
         self.amps = np.zeros(1 << offset, dtype=np.complex128)
@@ -277,7 +273,6 @@ class GroverOperator:
         self.good_mask = good_mask
         self.amplitude = float(np.sum(np.abs(psi[good_mask]) ** 2))
         self.theta = math.asin(min(1.0, math.sqrt(max(self.amplitude, 0.0))))
-        self.dim = psi.size
 
     @property
     def matrix(self) -> np.ndarray:
@@ -287,23 +282,13 @@ class GroverOperator:
 
 
 def grover_operator(
-    preparer: Callable[[], StateVector],
-    good_flag: Callable[[int], bool] | tuple[str, int],
+    preparer: Callable[[], StateVector], good_flag: tuple[str, int]
 ) -> GroverOperator:
-    """Build the Grover operator of a state-preparer.
-
-    ``good_flag`` is either a predicate on basis indices or a
-    ``(register, value)`` pair marking the good subspace.
-    """
+    """Build the Grover operator of a state-preparer whose good subspace is
+    where register ``good_flag[0]`` holds the value ``good_flag[1]``."""
     sv = preparer()
-    if isinstance(good_flag, tuple):
-        reg_name, value = good_flag
-        mask = sv.values(reg_name) == value
-    else:
-        mask = np.fromiter(
-            (bool(good_flag(i)) for i in range(sv.amps.size)), bool, sv.amps.size
-        )
-    return GroverOperator(sv.amps, mask)
+    reg_name, value = good_flag
+    return GroverOperator(sv.amps, sv.values(reg_name) == value)
 
 
 def pe_kernel(delta_turns: np.ndarray, t: int) -> np.ndarray:
@@ -323,7 +308,7 @@ def pe_kernel(delta_turns: np.ndarray, t: int) -> np.ndarray:
 
 
 def phase_distribution(
-    u: np.ndarray | GroverOperator,
+    u: np.ndarray,
     psi0: np.ndarray,
     t: int,
     method: str = "auto",
@@ -335,7 +320,7 @@ def phase_distribution(
     per-eigenphase kernels.  Both are exact and agree; "auto" materializes
     when the joint register fits the simulator's qubit capacity.
     """
-    mat = u.matrix if isinstance(u, GroverOperator) else np.asarray(u)
+    mat = np.asarray(u)
     psi0 = np.asarray(psi0, dtype=np.complex128)
     dim = psi0.size
     if mat.shape != (dim, dim):
@@ -424,26 +409,3 @@ def theta_from_outcome(y: int, t: int) -> float:
     n = 1 << t
     yf = min(int(y) % n, n - int(y) % n)
     return math.pi * yf / n
-
-
-def phase_estimate(
-    u: np.ndarray | GroverOperator,
-    t: int,
-    psi0: np.ndarray,
-    rng: np.random.Generator,
-    shots: int = 1,
-    method: str = "auto",
-    ledger: QueryLedger | None = None,
-    charge: Mapping[str, int] = MappingProxyType({"controlled_u": 1}),
-) -> np.ndarray:
-    """Sample phase-register outcomes y in [0, 2^t).
-
-    Each estimate makes 2^t - 1 controlled-U applications; a ``ledger`` is
-    charged every counter of ``charge`` times their total.
-    """
-    if t < 1:
-        raise QsimError("phase estimation needs at least one precision qubit")
-    probs = phase_distribution(u, psi0, t, method=method)
-    if ledger is not None:
-        ledger.charge_many(charge, ((1 << t) - 1) * shots)
-    return rng.choice(probs.size, size=shots, p=probs)

@@ -51,37 +51,46 @@ def random_dataset(
     raise RuntimeError(f"could not place {m} points with gap {radius} in {n}-D")
 
 
+# Distance between the two cluster centers and the clusters' standard
+# deviation, in the same units.
+_SEPARATION = 4.0
+_SPREAD = 0.6
+
+
 def gaussian_clusters(
     m: int,
     n: int,
     rng: np.random.Generator,
     contamination: float = 0.1,
-    separation: float = 4.0,
-    spread: float = 0.6,
 ) -> Dataset:
     """Two Gaussian clusters plus planted outliers on a distant shell.
 
+    ``contamination`` in [0, 1) is the share of outliers, at least one.
     Kept deliberately mild: cluster spread within ~an order of magnitude of
     the full coordinate range, so normalized distances stay resolvable by the
     amplitude-estimation grid and density ratios stay within a few integer
     bits of fixed point.
     """
+    if n < 1:
+        raise ValueError(f"need at least one dimension, got {n}")
+    if not 0.0 <= contamination < 1.0:
+        raise ValueError(f"contamination {contamination} outside [0, 1)")
     n_out = max(1, int(round(contamination * m)))
     n_in = m - n_out
     if n_in < 2:
         raise ValueError("contamination leaves fewer than two cluster points")
     centers = np.zeros((2, n))
-    centers[0, 0] = -separation / 2.0
-    centers[1, 0] = +separation / 2.0
+    centers[0, 0] = -_SEPARATION / 2.0
+    centers[1, 0] = +_SEPARATION / 2.0
     half = n_in // 2
     pts = [
-        centers[0] + spread * rng.standard_normal((half, n)),
-        centers[1] + spread * rng.standard_normal((n_in - half, n)),
+        centers[0] + _SPREAD * rng.standard_normal((half, n)),
+        centers[1] + _SPREAD * rng.standard_normal((n_in - half, n)),
     ]
     # Outliers: uniform directions at 1.5-2.5x the cluster separation.
     dirs = rng.standard_normal((n_out, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = separation * (1.5 + rng.random(n_out))
+    radii = _SEPARATION * (1.5 + rng.random(n_out))
     pts.append(dirs * radii[:, None])
     allpts = np.vstack(pts)
     # Exact duplicates would make densities undefined; nudge any collisions.

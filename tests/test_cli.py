@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +15,12 @@ from qlof.cli import (
     EXIT_OK,
     EXIT_OVERFLOW,
     EXIT_RATIO_BOUND,
+    SCALE_DEFAULTS,
+    _config_from_args,
+    build_parser,
     main,
 )
+from qlof.dataset import RunConfig
 from qlof.pipeline import QuantumLofPipeline
 
 TOY_CSV = "0\n1\n2\n10\n"
@@ -101,6 +110,17 @@ def test_non_finite_knob_is_a_config_error(toy_csv, tmp_path, capsys, argv):
     assert err.startswith("configuration error") and knob[2:].replace("-", "_") in err
 
 
+def test_config_flags_derive_from_run_config(toy_csv, tmp_path):
+    parser = build_parser()
+    assert _config_from_args(parser.parse_args(["compare", str(toy_csv)])) == RunConfig()
+    assert _config_from_args(parser.parse_args(["scale"])) == RunConfig(**SCALE_DEFAULTS)
+    classical = parser.parse_args(["classical", str(toy_csv)])
+    assert (classical.k, classical.delta) == (RunConfig.k, RunConfig.delta)
+    assert main(["compare", str(toy_csv), "--k", "2", "--out", str(tmp_path)]) == EXIT_OK
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert set(config) == {f.name for f in fields(RunConfig)}
+
+
 def test_compare_toy_matches(toy_csv, tmp_path):
     out = tmp_path / "cmp"
     rc = main(
@@ -170,6 +190,36 @@ def test_scale_single_m_refuses_fit(tmp_path):
 def test_scale_requires_ledger(tmp_path):
     rc = main(["scale", "--grid", "8,16", "--backend", "exact", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "knob", [("--contamination", "0.9"), ("--contamination", "nan"),
+             ("--contamination", "-1"), ("--n-dims", "0")],
+)
+def test_scale_bad_dataset_knob_is_a_config_error(tmp_path, capsys, knob):
+    out = tmp_path / "s"
+    rc = main(["scale", "--grid", "8", "--trials", "1", *knob, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
+
+
+def test_unknown_log_level_is_a_config_error(toy_csv, tmp_path):
+    # In a fresh interpreter: under pytest the root logger already has
+    # handlers, which makes logging.basicConfig a no-op.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LOG_LEVEL": "bogus"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlof", "classical", str(toy_csv), "--k", "2",
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and "LOG_LEVEL" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_scale_deterministic(tmp_path):

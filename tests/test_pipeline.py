@@ -56,6 +56,13 @@ def test_backends_compute_identical_pair_amplitudes():
             assert exact._pair_amplitude(i, t) == pytest.approx(
                 ledger._pair_amplitude(i, t), abs=1e-12
             )
+    # Step 3: square-root rotations by density ratios up to the ceiling.
+    for nb in range(1, 7):
+        bound = 1.0 + 3.0 * rng.random()
+        rhos = list(bound * rng.random(nb))
+        assert exact._rotation_probability(rhos, bound, "sqrt") == pytest.approx(
+            ledger._rotation_probability(rhos, bound, "sqrt"), abs=1e-12
+        )
 
 
 def test_distance_preparer_full_qpe_route():
@@ -278,7 +285,7 @@ def test_compute_lof_uniform_densities_exact_one():
     pipe = QuantumLofPipeline(GRID3, cfg(k=1, seed=6))
     table = build_table(GRID3, 1)
     inv = pipe.compute_lrd_all(table)
-    lof_hat = pipe.compute_lof_all(inv, table)
+    lof_hat = pipe.compute_lof_all(inv, table, pipe.ratio_bound())
     assert np.allclose(lof_hat, 1.0, atol=1e-12)
 
 

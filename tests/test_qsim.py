@@ -16,7 +16,6 @@ from qlof.qsim import (
     grover_operator,
     pe_kernel,
     phase_distribution,
-    phase_estimate,
     prepare_uniform,
     theta_from_outcome,
 )
@@ -234,16 +233,6 @@ def test_phase_paths_agree_on_random_unitaries():
             pm = phase_distribution(u, psi0, t, method="materialized")
             pa = phase_distribution(u, psi0, t, method="analytic")
             assert np.allclose(pm, pa, atol=1e-9)
-
-
-def test_phase_estimate_sampling_and_ledger():
-    rng = np.random.default_rng(8)
-    led = QueryLedger()
-    u = np.diag([-1.0 + 0j, 1.0])
-    psi = np.array([1.0, 0.0], dtype=complex)
-    ys = phase_estimate(u, 3, psi, rng, shots=10, ledger=led, charge={"controlled_u": 1})
-    assert np.all(ys == 4)
-    assert led.get("controlled_u") == 7 * 10
 
 
 def test_phase_estimate_capacity_guard():
