@@ -108,12 +108,14 @@ class LofReport:
         }
 
 
-def build_table(ds: Dataset, k: int) -> NeighborhoodTable:
+def build_table(ds: Dataset, k: int, dmat: np.ndarray | None = None) -> NeighborhoodTable:
     """Every point's k-distance and neighborhood: all points within the
-    k-distance (>= k members, more on ties)."""
+    k-distance (>= k members, more on ties).  ``dmat`` is the dataset's
+    normalized distance matrix when the caller already holds it."""
     if not 1 <= k <= ds.m - 1:
         raise ValueError(f"k={k} outside [1, m-1={ds.m - 1}]")
-    dmat = normalized_distance_matrix(ds)
+    if dmat is None:
+        dmat = normalized_distance_matrix(ds)
     rows = []
     for i in range(ds.m):
         d = dmat[i]
@@ -158,11 +160,12 @@ def lof_all(ds: Dataset, k: int) -> np.ndarray:
     return _densities(build_table(ds, k))[1]
 
 
-def flag(ds: Dataset, k: int, delta: float) -> LofReport:
-    """Full classical run: anomaly iff LOF >= delta."""
+def flag(ds: Dataset, k: int, delta: float, dmat: np.ndarray | None = None) -> LofReport:
+    """Full classical run: anomaly iff LOF >= delta.  ``dmat`` as in
+    :func:`build_table`."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    table = build_table(ds, k)
+    table = build_table(ds, k, dmat)
     dens, lofs, max_ratio = _densities(table)
     floor = min(sorted(r.dists, reverse=True)[math.ceil(r.count / 2) - 1] for r in table.rows)
     return LofReport(

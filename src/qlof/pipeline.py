@@ -19,6 +19,13 @@ Within one run every pairwise distance estimate is sampled once (median of
 ``ae_repeats`` draws) and frozen; minimum search, counting, and collection
 query the frozen values.  This models the deterministic register content the
 coherent circuit would carry and keeps all threshold predicates consistent.
+
+Random streams: each stochastic stage -- distances, k-distance, counting,
+collection, outlier factors, flagging -- draws from one generator of its own,
+keyed by (seed, stage).  The distance stage consumes it pair by pair in
+upper-triangle row order, ``ae_repeats`` uniforms per pair; the per-point
+stages consume theirs in point order.  So a stage's draws do not depend on
+how another stage, or the distance sampler's chunking, uses its stream.
 """
 
 from __future__ import annotations
@@ -28,7 +35,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import ConfigError, Dataset, DegenerateDataError, RunConfig
+from .dataset import (
+    ConfigError,
+    Dataset,
+    DegenerateDataError,
+    RunConfig,
+    normalized_distance_matrix,
+)
 from .fixedpoint import FixedPoint, encode, q_div, q_max, q_mul_add, zero
 from .ledger import QueryLedger
 from .lof import NeighborhoodTable, NeighborRow, flag as classical_flag
@@ -83,18 +96,20 @@ class ErrorBudget:
         }
 
 
-# Seed-stream tags; every stochastic stage draws from its own child generator.
+# Stream tags: every stochastic stage draws from one generator of its own.
 _STREAM_DIST = 0
 _STREAM_KDIST = 1
 _STREAM_COUNT = 2
 _STREAM_COLLECT = 3
 _STREAM_LOF = 4
 _STREAM_FLAG = 5
+_STREAMS = range(6)
 
-# Step-1 pairs per sampler call.  Larger blocks buy no speed but hold larger
-# (block, 2^t) law arrays: whole 255-pair rows raised the peak RSS of one
-# m = 256, t = 10 run by about 5 MB (8%).
-_DIST_BLOCK = 16
+# Step-1 pairs per sampler call.  The estimates do not depend on it.  Larger
+# chunks buy no speed but hold larger (chunk, 2^t) law arrays: 64-pair chunks
+# and whole rows were slower at m = 256, t = 10, and whole rows raised the
+# peak RSS of one run by about 5 MB (8%).
+_DIST_CHUNK = 16
 
 
 class QuantumLofPipeline:
@@ -112,9 +127,13 @@ class QuantumLofPipeline:
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.warnings: list[str] = []
         self._dist_hat: np.ndarray | None = None
-        # The classical reference, computed once: the comparison target and
+        # One generator per stage, consumed in the order the stage runs.
+        self._rngs = [self._rng(stream) for stream in _STREAMS]
+        # The normalized distances and the classical reference, computed once:
+        # the ledger backend's step-1 amplitudes, the comparison target and
         # the source of the ratio ceiling and the distance floor.
-        self._classical = classical_flag(ds, config.k, config.delta)
+        self._dmat = normalized_distance_matrix(ds)
+        self._classical = classical_flag(ds, config.k, config.delta, self._dmat)
         # Per coherent invocation of the step-1 distance estimator: one
         # preparation plus two per Grover power; each preparation touches the
         # data oracle four times (two loads, two uncomputes) and the
@@ -131,8 +150,9 @@ class QuantumLofPipeline:
     # Step 1: distances, k-distance, neighborhood
     # ------------------------------------------------------------------
 
-    def _rng(self, stream: int, *key: int) -> np.random.Generator:
-        entropy = [self.config.seed & 0xFFFFFFFFFFFFFFFF, stream, *key]
+    def _rng(self, stream: int) -> np.random.Generator:
+        """A fresh generator of one stage's stream, keyed by (seed, stream)."""
+        entropy = [self.config.seed & 0xFFFFFFFFFFFFFFFF, stream]
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
     def _rotation_probability(
@@ -142,7 +162,9 @@ class QuantumLofPipeline:
         uniform superposition over ``values`` rotates an ancilla by each value
         over ``scale`` (:func:`controlled_value_rotation`).  It is the mean of
         (v/scale)^2 in linear mode (step 1) and of v/scale in sqrt mode
-        (step 3); the ledger backend computes it in closed form."""
+        (step 3).  The ledger backend computes step 3's in closed form and
+        reads step 1's from the distance matrix (:meth:`_pair_probabilities`).
+        """
         if self.config.backend == "exact":
             sv = StateVector([("j", max(1, math.ceil(math.log2(len(values))))), ("anc", 1)])
             prepare_uniform(sv, "j", len(values))
@@ -150,24 +172,31 @@ class QuantumLofPipeline:
                 sv, "j", "anc", scale=scale, decode=lambda jv: float(values[jv]), mode=mode
             )
             return sv.probability("anc", 0)
-        if mode == "linear":
-            return (float(np.linalg.norm(values)) / (math.sqrt(len(values)) * scale)) ** 2
         return float(np.mean(values)) / scale
 
     def _pair_amplitude(self, i: int, t: int) -> float:
-        """Good-branch probability of the distance rotation: d-bar(i,t)^2."""
+        """Good-branch probability of one pair's distance rotation on the
+        exact backend's statevector: d-bar(i,t)^2."""
         diffs = self.ds.points[i] - self.ds.points[t]
         return self._rotation_probability(diffs, self.ds.c_norm, "linear")
+
+    def _pair_probabilities(self, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+        """d-bar^2 of the pairs (iu[p], ju[p]): a statevector per pair on the
+        exact backend, the squared distance matrix on the ledger backend."""
+        if self.config.backend == "exact":
+            return np.array([self._pair_amplitude(i, j) for i, j in zip(iu, ju)])
+        return self._dmat[iu, ju] ** 2
 
     def distance_estimates(self) -> np.ndarray:
         """All pairwise frozen estimates sin(theta_hat(i, t)), symmetric.
 
-        Row i's pairs (i, t > i) are sampled in blocks of up to
-        ``_DIST_BLOCK`` columns by one :func:`ae_outcomes` call over their
-        angles.  Each pair keeps its own seed stream for its ``ae_repeats``
-        uniforms, so every estimate equals the median of that pair's own
-        amplitude-estimation draws.  Charges one coherent estimation pass per
-        point row (the t-superposition is served by a single pass).
+        The m(m-1)/2 pairs i < t are taken in upper-triangle row order and
+        sampled ``_DIST_CHUNK`` at a time by :func:`ae_outcomes`.  Each pair's
+        ``ae_repeats`` uniforms are the next ones of the stage generator, so
+        the chunk size does not change the estimates, and every estimate is
+        the median of that pair's own amplitude-estimation draws.  Charges one
+        coherent estimation pass per point row (the t-superposition is served
+        by a single pass).
         """
         if self._dist_hat is None:
             m = self.ds.m
@@ -175,15 +204,16 @@ class QuantumLofPipeline:
             tq, reps = cfg.ae_qubits_dist, cfg.ae_repeats
             n = 1 << tq
             sin_hat = np.array([math.sin(math.pi * y / n) for y in range(n // 2 + 1)])
+            iu, ju = np.triu_indices(m, 1)
+            thetas = amplitude_angle(self._pair_probabilities(iu, ju))
+            rng = self._rngs[_STREAM_DIST]
+            est = np.empty(iu.size)
+            for lo in range(0, iu.size, _DIST_CHUNK):
+                chunk = thetas[lo : lo + _DIST_CHUNK]
+                ys = ae_outcomes(chunk, tq, rng.random((chunk.size, reps)))
+                est[lo : lo + chunk.size] = sin_hat[folded_median(ys, tq)]
             mat = np.zeros((m, m))
-            for i in range(m):
-                for lo in range(i + 1, m, _DIST_BLOCK):
-                    hi = min(lo + _DIST_BLOCK, m)
-                    block = range(lo, hi)
-                    thetas = [amplitude_angle(self._pair_amplitude(i, t)) for t in block]
-                    u = np.array([self._rng(_STREAM_DIST, i, t).random(reps) for t in block])
-                    est = sin_hat[folded_median(ae_outcomes(thetas, tq, u), tq)]
-                    mat[i, lo:hi] = mat[lo:hi, i] = est
+            mat[iu, ju] = mat[ju, iu] = est
             self.ledger.charge_many(self._dist_eval_cost, m * reps)
             self._dist_hat = mat
         return self._dist_hat
@@ -200,7 +230,7 @@ class QuantumLofPipeline:
         res = kth_smallest(
             self._others(i),
             cfg.k,
-            self._rng(_STREAM_KDIST, i),
+            self._rngs[_STREAM_KDIST],
             budget_multiplier=cfg.budget_multiplier,
             boost=cfg.min_boost,
             ledger=self.ledger,
@@ -214,7 +244,7 @@ class QuantumLofPipeline:
         return quantum_count(
             self._others(i) <= kdist,
             cfg.ae_qubits_count,
-            self._rng(_STREAM_COUNT, i),
+            self._rngs[_STREAM_COUNT],
             repeats=cfg.ae_repeats,
             ledger=self.ledger,
             charge={**self._dist_eval_cost, "step1.count_pred": 1},
@@ -233,7 +263,7 @@ class QuantumLofPipeline:
         seeds = [t - (t > i) for t in seed_found]
         found, saturated = grover_collect(
             self._others(i) <= kdist,
-            self._rng(_STREAM_COLLECT, i),
+            self._rngs[_STREAM_COLLECT],
             ledger=self.ledger,
             exact=(cfg.backend == "exact"),
             expected=expected,
@@ -353,7 +383,7 @@ class QuantumLofPipeline:
             est = amplitude_estimate(
                 self._rotation_probability(rhos, ratio_bound, "sqrt"),
                 cfg.ae_qubits_lof,
-                self._rng(_STREAM_LOF, i),
+                self._rngs[_STREAM_LOF],
                 repeats=cfg.ae_repeats,
             )
             lof_hat[i] = ratio_bound * est.a_hat
@@ -377,7 +407,7 @@ class QuantumLofPipeline:
             raise ConfigError("delta must be positive")
         flagged, _ = grover_collect(
             lof_hat >= delta,
-            self._rng(_STREAM_FLAG),
+            self._rngs[_STREAM_FLAG],
             ledger=self.ledger,
             exact=(self.config.backend == "exact"),
             charge={"step3.pred": 1},

@@ -98,11 +98,14 @@ def ae_queries(t: int, repeats: int = 1) -> int:
 _STEP_TOL = 1e-7
 
 
-def amplitude_angle(a: float) -> float:
-    """theta = arcsin(sqrt(a)) of a good-branch probability a in [0, 1]."""
-    if not 0.0 <= a <= 1.0 + 1e-12:
-        raise ValueError(f"amplitude {a} outside [0, 1]")
-    return math.asin(min(1.0, math.sqrt(max(a, 0.0))))
+def amplitude_angle(a: float | np.ndarray) -> float | np.ndarray:
+    """theta = arcsin(sqrt(a)) of good-branch probabilities a in [0, 1],
+    elementwise."""
+    a = np.asarray(a, dtype=float)
+    ok = (a >= 0.0) & (a <= 1.0 + 1e-12)
+    if not np.all(ok):
+        raise ValueError(f"amplitude {a[~ok][0]} outside [0, 1]")
+    return np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
 def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
@@ -118,11 +121,18 @@ def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> 
     angles = np.asarray(thetas, dtype=float)
     u = np.asarray(u, dtype=float)
     law = ae_distribution(angles, t)
-    cdf = np.zeros((angles.size, law.shape[1] + 1))  # column 0 is the step at 0
+    width = law.shape[1] + 1
+    cdf = np.zeros((angles.size, width))  # column 0 is the step at 0
     np.cumsum(law, axis=1, out=cdf[:, 1:])
     cdf /= cdf[:, -1:]
-    ys = np.array([row.searchsorted(draws, side="right") for row, draws in zip(cdf, u)]) - 1
+    # One search over the rows laid end to end, row b shifted up by b.  The
+    # shift's rounding (about b * 2^-52) can only move a draw past a step it
+    # lies that close to, or past the row's end (hence the clip); the
+    # closeness test below, on the unshifted CDF, sends such a row to the
+    # literal law.
     rows = np.arange(angles.size)[:, None]
+    ys = (cdf + rows).ravel().searchsorted(u + rows, side="right") - rows * width - 1
+    np.minimum(ys, width - 2, out=ys)
     close = np.minimum(u - cdf[rows, ys], cdf[rows, ys + 1] - u) < _STEP_TOL
     for row in np.flatnonzero(close.any(axis=1)):
         literal = ae_mixture(float(angles[row]), t).cumsum()

@@ -1,8 +1,9 @@
 """The block amplitude-estimation sampler against per-draw references.
 
 ``ae_outcomes`` must return exactly what ``Generator.choice`` returns on the
-literal outcome law for the same uniforms, and the blocked step-1 distance
-stage must reproduce the per-pair loop it replaced, draw for draw.
+literal outcome law for the same uniforms, and the chunked step-1 distance
+stage must equal a per-pair ``Generator.choice`` loop over the stage's one
+stream, draw for draw, whatever the chunk size.
 """
 
 import math
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlof import primitives
-from qlof.dataset import RunConfig
+from qlof import pipeline, primitives
+from qlof.dataset import RunConfig, normalized_distance_matrix
 from qlof.pipeline import _STREAM_DIST, QuantumLofPipeline
 from qlof.primitives import ae_outcomes, amplitude_estimate
 from qlof.qsim import ae_distribution, ae_mixture, pe_kernel, theta_from_outcome
@@ -34,7 +35,9 @@ def angle_blocks(draw):
     t = draw(st.integers(1, 12))
     n = 1 << t
     thetas = []
-    for _ in range(draw(st.integers(1, 4))):
+    # Up to 40 angles: enough rows that the sampler's one search over the
+    # row-shifted CDFs meets shifts far above the first few.
+    for _ in range(draw(st.integers(1, 40))):
         if draw(st.booleans()):
             theta = draw(st.floats(0.0, math.pi / 2))
         else:
@@ -103,15 +106,29 @@ def test_draw_on_a_literal_cdf_step_takes_the_fallback(monkeypatch):
     assert calls == [(theta, t)]
 
 
+def test_draw_next_to_one_stays_in_its_row():
+    # 1 - 2^-53 plus a row shift of 1 or more rounds up onto the next row.
+    thetas, t = [0.3, 0.7, 1.1], 6
+    u = np.full((len(thetas), 2), np.nextafter(1.0, 0.0))
+    want = []
+    for theta, draws in zip(thetas, u):
+        cdf = literal_law(theta, t).cumsum()
+        cdf /= cdf[-1]
+        want.append(cdf.searchsorted(draws, side="right"))  # as Generator.choice
+    assert np.array_equal(ae_outcomes(thetas, t, u), np.array(want))
+
+
 def _reference_distances(pipe):
-    """Step 1 as one amplitude-estimation draw per pair from its own stream."""
+    """Step 1 as one amplitude-estimation draw per pair, the pairs in
+    upper-triangle row order, all from the stage's one generator."""
     cfg = pipe.config
     m, t = pipe.ds.m, cfg.ae_qubits_dist
+    rng = pipe._rng(_STREAM_DIST)
+    dmat = normalized_distance_matrix(pipe.ds)
     ref = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            rng = pipe._rng(_STREAM_DIST, i, j)
-            a = pipe._pair_amplitude(i, j)
+            a = pipe._pair_amplitude(i, j) if cfg.backend == "exact" else dmat[i, j] ** 2
             theta = math.asin(min(1.0, math.sqrt(max(a, 0.0))))
             ys = rng.choice(1 << t, size=cfg.ae_repeats, p=literal_law(theta, t))
             thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
@@ -130,3 +147,14 @@ def test_distance_estimates_equal_the_per_pair_loop(backend, make):
     for seed in (1, 2):
         pipe = QuantumLofPipeline(make(), RunConfig(k=3, backend=backend, seed=seed))
         assert np.array_equal(pipe.distance_estimates(), _reference_distances(pipe))
+
+
+def test_distance_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 435 pairs: neither 7 nor the default divides them.
+    ds = gaussian_clusters(30, 2, np.random.default_rng(7))
+    config = RunConfig(k=3, backend="ledger", ae_repeats=3, seed=4)
+    mats = []
+    for chunk in (1, 7, pipeline._DIST_CHUNK):
+        monkeypatch.setattr(pipeline, "_DIST_CHUNK", chunk)
+        mats.append(QuantumLofPipeline(ds, config).distance_estimates())
+    assert all(np.array_equal(mats[0], mat) for mat in mats[1:])
