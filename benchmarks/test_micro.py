@@ -9,18 +9,28 @@ figures come from ``bench/run.py``; these isolate one primitive each:
 
 * the block sampler ``ae_outcomes`` on 16 angles against 16 scalar
   ``amplitude_estimate`` calls, at the precisions t = 6, 9 and 12;
-* the step-1 distance stage of a ledger pipeline at m = 64;
+* the step-1 distance stage of a ledger pipeline at m = 64 and at m = 256,
+  the ``ledger-m256`` size (t = 10, 3 repeats): 32,640 pairs sampled in
+  chunks from one stream;
+* the exact backend's per-pair rotation, ``controlled_value_rotation`` on a
+  uniform superposition over 4 coordinates;
 * an exact-backend ``grover_search`` with nothing marked, the saturation
   check that ends every neighborhood collection;
 * the ledger-backend layers behind a ``ledger-m256`` point: ``kth_smallest``
   at m = 255, k = 3, boost 1, ``quantum_count`` at t = 5 with 3 repeats, and
-  ``grover_collect`` over a neighborhood that is already complete.
+  ``grover_collect`` over a neighborhood that is already complete;
+* step 2's fixed-point operations at the ``qlof scale`` format (20, 12):
+  ``q_mul_add`` into the (40, 24) accumulator and the ``q_div`` of that sum
+  by the neighbor count;
+* the classical reference's ``lof.build_table`` at m = 256, k = 3.
 """
 
 import numpy as np
 import pytest
 
 from qlof.dataset import RunConfig
+from qlof.fixedpoint import encode, q_div, q_mul_add
+from qlof.lof import build_table
 from qlof.pipeline import QuantumLofPipeline
 from qlof.primitives import (
     ae_outcomes,
@@ -31,6 +41,7 @@ from qlof.primitives import (
     kth_smallest,
     quantum_count,
 )
+from qlof.qsim import StateVector, controlled_value_rotation, prepare_uniform
 from qlof.synthetic import gaussian_clusters
 
 BLOCK = 16
@@ -60,17 +71,34 @@ def test_amplitude_estimate_per_pair(benchmark, t):
     assert len(benchmark(per_pair)) == BLOCK
 
 
-def test_distance_estimates_ledger_m64(benchmark):
-    ds = gaussian_clusters(64, 2, np.random.default_rng(2))
+@pytest.mark.parametrize("m, rounds", [(64, 5), (256, 3)])
+def test_distance_estimates_ledger(benchmark, m, rounds):
+    ds = gaussian_clusters(m, 2, np.random.default_rng(2), contamination=0.05)
     config = RunConfig(k=3, backend="ledger", ae_repeats=REPEATS, seed=3)
 
     def fresh():
         return (QuantumLofPipeline(ds, config),), {}
 
     mat = benchmark.pedantic(
-        lambda pipe: pipe.distance_estimates(), setup=fresh, rounds=5
+        lambda pipe: pipe.distance_estimates(), setup=fresh, rounds=rounds
     )
-    assert mat.shape == (64, 64)
+    assert mat.shape == (m, m)
+
+
+def test_exact_pair_rotation(benchmark):
+    diffs = np.random.default_rng(3).random(4)
+
+    def fresh():
+        sv = StateVector([("j", 2), ("anc", 1)])
+        prepare_uniform(sv, "j", diffs.size)
+        return (sv,), {}
+
+    def rotate(sv):
+        controlled_value_rotation(sv, "j", "anc", scale=1.0, decode=lambda j: float(diffs[j]))
+        return sv.probability("anc", 0)
+
+    a = benchmark.pedantic(rotate, setup=fresh, rounds=200)
+    assert a == pytest.approx(float(np.mean(diffs**2)))
 
 
 def test_exact_grover_search_nothing_marked(benchmark):
@@ -98,3 +126,19 @@ def test_ledger_grover_collect_nothing_left(benchmark):
     rng = np.random.default_rng(9)
     found, saturated = benchmark(grover_collect, marked, rng, expected=4, seed_found=range(4))
     assert found == [0, 1, 2, 3] and saturated
+
+
+def test_q_mul_add_scale_format(benchmark):
+    reach, one = encode(0.0731, 20, 12), encode(1.0, 20, 12)
+    acc = encode(0.25, 40, 24)
+    assert benchmark(q_mul_add, reach, one, acc).width == 40
+
+
+def test_q_div_scale_format(benchmark):
+    acc, count = encode(0.3123, 40, 24), encode(3.0, 40, 24)
+    assert benchmark(q_div, acc, count, width=20, frac=12).width == 20
+
+
+def test_build_table_m256(benchmark):
+    ds = gaussian_clusters(256, 2, np.random.default_rng(10), contamination=0.05)
+    assert benchmark(build_table, ds, 3).m == 256

@@ -11,7 +11,8 @@ calibrate-ae  amplitude-estimation confidence sweep
 Exit codes: 0 ok, 1 contract violation (flag sets differ outside the error
 margin), 2 configuration error, 3 I/O or parse error, 4 degenerate data,
 5 simulator capacity exceeded, 6 near-threshold mismatch (tolerated),
-7 fixed-point overflow, 8 density ratio above the rotation ceiling.
+7 fixed-point overflow, 8 density ratio above the rotation ceiling,
+9 internal simulator error (any other simulator or fixed-point failure).
 
 Every run is deterministic under (--seed, config): repeated invocations emit
 byte-identical artifacts.  Output files are written atomically
@@ -33,12 +34,12 @@ import numpy as np
 
 from .dataset import BACKENDS, ConfigError, DataParseError, DegenerateDataError, RunConfig
 from .dataset import load_csv
-from .fixedpoint import FixedPointOverflowError
+from .fixedpoint import FixedPointError, FixedPointOverflowError
 from .lof import LofReport, flag as classical_flag
 from .ledger import QueryLedger
 from .pipeline import QuantumLofPipeline, RatioBoundError
 from .primitives import amplitude_estimate
-from .qsim import CapacityError
+from .qsim import CapacityError, QsimError
 from .synthetic import gaussian_clusters
 
 EXIT_OK = 0
@@ -50,6 +51,7 @@ EXIT_CAPACITY = 5
 EXIT_NEAR_THRESHOLD = 6
 EXIT_OVERFLOW = 7
 EXIT_RATIO_BOUND = 8
+EXIT_INTERNAL = 9
 
 log = logging.getLogger("qlof")
 
@@ -218,18 +220,26 @@ def cmd_scale(args: argparse.Namespace) -> int:
         raise ConfigError("trials must be >= 1")
 
     base = _config_from_args(args)
-    medians: dict[str, list[float]] = {s: [] for s in SCALE_STEPS}
-    rows = []
+    # Every grid point's datasets first, so a bad dataset knob fails before
+    # the first pipeline run.
+    datasets = {}
     for m in grid:
-        per_step: dict[str, list[int]] = {s: [] for s in SCALE_STEPS}
         for trial in range(args.trials):
             rng = np.random.default_rng(
                 np.random.SeedSequence([args.seed & 0xFFFFFFFFFFFFFFFF, m, trial])
             )
             try:
-                ds = gaussian_clusters(m, args.n_dims, rng, contamination=args.contamination)
+                datasets[m, trial] = gaussian_clusters(
+                    m, args.n_dims, rng, contamination=args.contamination
+                )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+    medians: dict[str, list[float]] = {s: [] for s in SCALE_STEPS}
+    rows = []
+    for m in grid:
+        per_step: dict[str, list[int]] = {s: [] for s in SCALE_STEPS}
+        for trial in range(args.trials):
+            ds = datasets[m, trial]
             config = replace(base, seed=args.seed + 7919 * m + trial)
             ledger = QueryLedger()
             QuantumLofPipeline(ds, config, ledger=ledger).run()
@@ -340,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     except RatioBoundError as exc:
         print(f"{exc}; raise --ratio-safety or --ae-qubits-dist", file=sys.stderr)
         return EXIT_RATIO_BOUND
+    except (QsimError, FixedPointError) as exc:  # after their subclasses above
+        print(f"internal simulator error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:  # console-script entry point

@@ -10,6 +10,7 @@ import pytest
 from qlof.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_NEAR_THRESHOLD,
     EXIT_OK,
@@ -21,7 +22,9 @@ from qlof.cli import (
     main,
 )
 from qlof.dataset import RunConfig
+from qlof.fixedpoint import FormatMismatchError
 from qlof.pipeline import QuantumLofPipeline
+from qlof.qsim import QsimError, RegisterOverlapError, ValueRangeError
 
 TOY_CSV = "0\n1\n2\n10\n"
 
@@ -89,6 +92,20 @@ def test_ratio_bound_exit(toy_csv, tmp_path, capsys, monkeypatch):
     assert rc == EXIT_RATIO_BOUND
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "--ratio-safety" in err[0]
+
+
+@pytest.mark.parametrize(
+    "exc", [QsimError, RegisterOverlapError, ValueRangeError, FormatMismatchError]
+)
+def test_internal_simulator_error_exit(toy_csv, tmp_path, capsys, monkeypatch, exc):
+    def fail(self):
+        raise exc("boom")
+
+    monkeypatch.setattr(QuantumLofPipeline, "run", fail)
+    rc = main(["compare", str(toy_csv), "--k", "2", "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"internal simulator error: {exc.__name__}: boom"]
 
 
 @pytest.mark.parametrize(
@@ -201,6 +218,18 @@ def test_scale_bad_dataset_knob_is_a_config_error(tmp_path, capsys, knob):
     rc = main(["scale", "--grid", "8", "--trials", "1", *knob, "--out", str(out)])
     assert rc == EXIT_CONFIG
     assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
+
+
+def test_scale_checks_every_grid_point_before_running(tmp_path, capsys, monkeypatch):
+    # --contamination 0.9 leaves six cluster points at m = 64 but one at m = 8.
+    runs = []
+    monkeypatch.setattr(QuantumLofPipeline, "run", lambda self: runs.append(self.ds.m))
+    out = tmp_path / "s"
+    argv = ["scale", "--grid", "64,8", "--trials", "1", "--contamination", "0.9"]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert runs == [] and not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error")
 

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlof.fixedpoint import (
     FixedPoint,
@@ -143,3 +147,78 @@ def test_q_div_output_format():
         acc = q_mul_add(encode(v, 8, 6), one, acc)
     mean = q_div(acc, encode(3.0, 16, 12), width=8, frac=6)
     assert abs(mean.value - 0.5) <= 2 ** (-6)
+
+
+# ---------------------------------------------------------------------------
+# Properties against exact rational arithmetic on Python ints
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def formats(draw, max_width=64):
+    width = draw(st.integers(1, max_width))
+    return width, draw(st.integers(0, width - 1))
+
+
+def words(draw, width, frac):
+    return FixedPoint(draw(st.integers(0, (1 << width) - 1)), width, frac)
+
+
+def exact(x):
+    return Fraction(x.bits, 1 << x.frac)
+
+
+@st.composite
+def same_format_pairs(draw):
+    width, frac = draw(formats())
+    return words(draw, width, frac), words(draw, width, frac)
+
+
+@given(same_format_pairs())
+def test_q_add_is_addition_modulo_the_register(pair):
+    x, y = pair
+    got = q_add(x, y)
+    assert (got.width, got.frac) == (x.width, x.frac)
+    assert exact(got) == (exact(x) + exact(y)) % (1 << (x.width - x.frac))
+
+
+@given(same_format_pairs())
+def test_q_max_is_the_larger_value_first_on_ties(pair):
+    x, y = pair
+    got = q_max(x, y)
+    assert exact(got) == max(exact(x), exact(y))
+    assert got is (x if exact(x) >= exact(y) else y)
+
+
+@st.composite
+def multiply_accumulate_operands(draw):
+    width, frac = draw(formats(max_width=32))
+    return words(draw, width, frac), words(draw, width, frac), words(draw, 2 * width, 2 * frac)
+
+
+@given(multiply_accumulate_operands())
+def test_q_mul_add_is_exact_modulo_the_wide_register(ops):
+    x, y, z = ops
+    got = q_mul_add(x, y, z)
+    assert (got.width, got.frac) == (z.width, z.frac)
+    assert exact(got) == (exact(z) + exact(x) * exact(y)) % (1 << (z.width - z.frac))
+
+
+@st.composite
+def division_operands(draw):
+    num = words(draw, *draw(formats(max_width=40)))
+    width, frac = draw(formats(max_width=40))
+    den = FixedPoint(draw(st.integers(1, (1 << width) - 1)), width, frac)
+    return num, den, draw(formats(max_width=40))
+
+
+@given(division_operands())
+def test_q_div_rounds_the_exact_quotient_half_to_even(ops):
+    num, den, (width, frac) = ops
+    want = round(exact(num) / exact(den) * (1 << frac))  # Fraction rounds half to even
+    if want >= 1 << width:
+        with pytest.raises(FixedPointOverflowError):
+            q_div(num, den, width=width, frac=frac)
+    else:
+        got = q_div(num, den, width=width, frac=frac)
+        assert (got.bits, got.width, got.frac) == (want, width, frac)
