@@ -174,17 +174,15 @@ class QuantumLofPipeline:
             return sv.probability("anc", 0)
         return float(np.mean(values)) / scale
 
-    def _pair_amplitude(self, i: int, t: int) -> float:
-        """Good-branch probability of one pair's distance rotation on the
-        exact backend's statevector: d-bar(i,t)^2."""
-        diffs = self.ds.points[i] - self.ds.points[t]
-        return self._rotation_probability(diffs, self.ds.c_norm, "linear")
-
     def _pair_probabilities(self, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-        """d-bar^2 of the pairs (iu[p], ju[p]): a statevector per pair on the
-        exact backend, the squared distance matrix on the ledger backend."""
+        """Good-branch probabilities d-bar^2 of the distance rotations of the
+        pairs (iu[p], ju[p]): a statevector per pair on the exact backend,
+        the squared distance matrix on the ledger backend."""
         if self.config.backend == "exact":
-            return np.array([self._pair_amplitude(i, j) for i, j in zip(iu, ju)])
+            pts, c_norm = self.ds.points, self.ds.c_norm
+            return np.array(
+                [self._rotation_probability(pts[i] - pts[j], c_norm, "linear") for i, j in zip(iu, ju)]
+            )
         return self._dmat[iu, ju] ** 2
 
     def distance_estimates(self) -> np.ndarray:

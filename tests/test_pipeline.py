@@ -91,7 +91,7 @@ def test_distance_preparer_full_qpe_route():
 
     op = grover_operator(preparer, ("anc", 0))
     pipe = QuantumLofPipeline(ds, cfg(k=2))
-    assert op.amplitude == pytest.approx(pipe._pair_amplitude(i, t), abs=1e-12)
+    assert op.amplitude == pytest.approx(pipe._pair_probabilities([i], [t])[0], abs=1e-12)
     pm = phase_distribution(op.matrix, op.psi, 6, method="materialized")
     assert np.allclose(pm, ae_distribution(op.theta, 6), atol=1e-10)
 

@@ -128,7 +128,10 @@ def _reference_distances(pipe):
     ref = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            a = pipe._pair_amplitude(i, j) if cfg.backend == "exact" else dmat[i, j] ** 2
+            if cfg.backend == "exact":
+                a = pipe._pair_probabilities([i], [j])[0]
+            else:
+                a = dmat[i, j] ** 2
             theta = math.asin(min(1.0, math.sqrt(max(a, 0.0))))
             ys = rng.choice(1 << t, size=cfg.ae_repeats, p=literal_law(theta, t))
             thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
