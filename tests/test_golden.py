@@ -12,7 +12,10 @@ command (``argv.txt``) and the files it wrote:
 * ``scale`` -- ``qlof scale`` on its own defaults over a two-point grid:
   ``scale.csv`` and ``scale.json``.
 
-A deliberate change of the random-number layout regenerates these files.
+The files follow the random-number layout of ``qlof.pipeline``: one
+generator per stage, keyed by (seed, stage), with step 1's pairs drawn in
+upper-triangle row order.  A deliberate change of that layout regenerates
+these files, in a change of their own that lists them.
 """
 
 from pathlib import Path
