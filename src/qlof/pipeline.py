@@ -181,7 +181,10 @@ class QuantumLofPipeline:
         if self.config.backend == "exact":
             pts, c_norm = self.ds.points, self.ds.c_norm
             return np.array(
-                [self._rotation_probability(pts[i] - pts[j], c_norm, "linear") for i, j in zip(iu, ju)]
+                [
+                    self._rotation_probability(pts[i] - pts[j], c_norm, "linear")
+                    for i, j in zip(iu, ju)
+                ]
             )
         return self._dmat[iu, ju] ** 2
 
