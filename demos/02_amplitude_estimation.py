@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from qlof import amplitude_estimate, amplitude_estimate_via_qpe
-from qlof.qsim import StateVector, ae_distribution, grover_operator, phase_distribution
+from qlof.qsim import StateVector, ae_mixture, grover_operator, phase_distribution
 
 rng = np.random.default_rng(0)
 
@@ -46,7 +46,7 @@ def preparer():
     return sv
 
 op = grover_operator(preparer, ("q", 0))
-law = ae_distribution(op.theta, t=5)
+law = ae_mixture(op.theta, t=5)
 qpe = phase_distribution(op.matrix, op.psi, t=5, method="materialized")
 print(f"\nmax |law - statevector QPE| over all bins: {np.abs(law - qpe).max():.2e}")
 est = amplitude_estimate_via_qpe(preparer, ("q", 0), t=5, rng=rng)

@@ -105,11 +105,12 @@ _STREAM_LOF = 4
 _STREAM_FLAG = 5
 _STREAMS = range(6)
 
-# Step-1 pairs per sampler call.  The estimates do not depend on it.  Larger
-# chunks buy no speed but hold larger (chunk, 2^t) law arrays: 64-pair chunks
-# and whole rows were slower at m = 256, t = 10, and whole rows raised the
-# peak RSS of one run by about 5 MB (8%).
-_DIST_CHUNK = 16
+# Step-1 pairs per sampler call.  The estimates do not depend on it.  A
+# chunk's transients are its (chunk, 2 * 16) window table and a (chunk,
+# repeats, 2 * 16) comparison, about 0.5 MB at 1024 pairs; at m = 256,
+# t = 10 the stage took 0.154 s in 16-pair chunks, 0.070 s in 512-pair ones,
+# 0.067 s in 1024 and 0.101 s in 4096 (one process, best of 3).
+_DIST_CHUNK = 1024
 
 
 class QuantumLofPipeline:

@@ -15,6 +15,9 @@ Four primitives drive the pipeline:
 
 Every amplitude-estimation draw goes through :func:`ae_outcomes`, which
 samples a block of angles at once; the pipeline's step 1 calls it directly.
+It inverts each draw's uniform over a window of the outcome law around the
+two peaks and touches the whole 2^t-outcome law only for the rare draw that
+lands past the window, so its cost hardly grows with t.
 The one exception is the statevector reference
 :func:`amplitude_estimate_via_qpe`, which builds a preparer's Grover operator
 and samples its phase-estimation distribution.
@@ -45,7 +48,6 @@ from .ledger import QueryLedger
 from .qsim import (
     StateVector,
     ae_distribution,
-    ae_mixture,
     grover_operator,
     phase_distribution,
     theta_from_outcome,
@@ -79,23 +81,11 @@ def ae_queries(t: int, repeats: int = 1) -> int:
     return repeats * (2 * ((1 << t) - 1) + 1)
 
 
-# A row with a draw this close to a step of the closed-form CDF is redrawn
-# from the literal law.  The closed-form and literal samplers disagree only
-# on a draw lying between a step of one CDF and the same step of the other,
-# so the tolerance must exceed the largest gap between the two CDFs.
-#
-# Margin, with N = 2^t and delta >= _GRID_TOL the angle's distance to the
-# grid pi*y/N.  Roundings of theta/pi, of the phase offsets d, of the
-# products and of the tables put an absolute error of at most about 1e-15
-# on every sine argument or table sine either law uses (N times that on the
-# literal numerator's argument pi*N*d).  The sines they feed are at least
-# 2*delta/pi (the numerator's |sin(N*theta)| at least 2*N*delta/pi), so
-# every term of either law carries a relative error R <= 1e-14/delta, which
-# is 1e-8 at delta = 1e-6.  A CDF value c = A/(A+B) then moves by at most
-# c*(1-c)*2R <= R/2 = 5e-9, and each cumulative sum adds N*eps (1e-12 at
-# t = 12): a twentieth of the tolerance.  Measured gaps are far smaller:
-# below 5e-13 for t <= 12, down to delta = 1e-6.
-_STEP_TOL = 1e-7
+# Outcomes on each side of a kernel's peak that ``ae_outcomes`` tabulates.
+# The kernel's mass beyond them is about 1/(pi^2 * _WINDOW) on average over
+# angles and at most 1.27% for t <= 12, so about 0.63% of draws at t = 10
+# take the sampler's whole-row tail.
+_WINDOW = 16
 
 
 def amplitude_angle(a: float | np.ndarray) -> float | np.ndarray:
@@ -111,34 +101,38 @@ def amplitude_angle(a: float | np.ndarray) -> float | np.ndarray:
 def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
     """Sample amplitude-estimation outcomes for a block of angles.
 
-    Row b of the result is what ``Generator.choice(2**t, p=law)`` returns
-    when it consumes the uniforms ``u[b]``, law being the literal outcome law
-    :func:`~qlof.qsim.ae_mixture` of ``thetas[b]``: the index of the first
-    CDF step above each draw.  The CDF comes from the closed-form
-    :func:`~qlof.qsim.ae_distribution` of the whole block; a row with a draw
-    within ``_STEP_TOL`` of one of its steps is redone on the literal law.
+    Entry (b, r) of the result is the outcome in [0, 2^t) that the uniform
+    ``u[b, r]`` draws from the law :func:`~qlof.qsim.ae_mixture` of
+    ``thetas[b]``, and depends on that angle and uniform alone.  The law is
+    an equal mixture of the Fejer kernels of the Grover eigenbranches at
+    +-theta (Brassard-Hoyer-Mosca-Tapp 2002): u >= 1/2 picks the -theta
+    branch, and v = 2u - branch then inverts the +theta kernel's CDF over
+    the 2W outcomes around its peak 2^t*theta/pi, W = min(_WINDOW, 2^(t-1)).
+    A v at or past the window's mass inverts the kernel over all outcomes
+    with the window zeroed, at v minus that mass.  A -theta draw maps the
+    outcome y to (2^t - y) mod 2^t.
     """
+    n = 1 << t
+    w = min(_WINDOW, n // 2)
     angles = np.asarray(thetas, dtype=float)
     u = np.asarray(u, dtype=float)
-    law = ae_distribution(angles, t)
-    width = law.shape[1] + 1
-    cdf = np.zeros((angles.size, width))  # column 0 is the step at 0
-    np.cumsum(law, axis=1, out=cdf[:, 1:])
-    cdf /= cdf[:, -1:]
-    # One search over the rows laid end to end, row b shifted up by b.  The
-    # shift's rounding (about b * 2^-52) can only move a draw past a step it
-    # lies that close to, or past the row's end (hence the clip); the
-    # closeness test below, on the unshifted CDF, sends such a row to the
-    # literal law.
-    rows = np.arange(angles.size)[:, None]
-    ys = (cdf + rows).ravel().searchsorted(u + rows, side="right") - rows * width - 1
-    np.minimum(ys, width - 2, out=ys)
-    close = np.minimum(u - cdf[rows, ys], cdf[rows, ys + 1] - u) < _STEP_TOL
-    for row in np.flatnonzero(close.any(axis=1)):
-        literal = ae_mixture(float(angles[row]), t).cumsum()
-        literal /= literal[-1]
-        ys[row] = literal.searchsorted(u[row], side="right")
-    return ys
+    minus = u >= 0.5
+    v = 2.0 * u - minus
+    lo = np.floor(angles * (n / math.pi)).astype(np.int64) - (w - 1)
+    window = lo[:, None] + np.arange(2 * w)
+    cdf = ae_distribution(angles[:, None], t, window).cumsum(axis=1)
+    k = (cdf[:, None, :] <= v[:, :, None]).sum(axis=2)
+    if 2 * w == n:  # the window holds every outcome: there is no tail
+        np.minimum(k, n - 1, out=k)
+    ys = lo[:, None] + k
+    rows, cols = np.nonzero(k == 2 * w)
+    if rows.size:
+        tail = ae_distribution(angles[rows, None], t, np.arange(n))
+        tail[np.arange(rows.size)[:, None], window[rows] % n] = 0.0
+        below = tail.cumsum(axis=1) <= (v[rows, cols] - cdf[rows, -1])[:, None]
+        ys[rows, cols] = np.minimum(below.sum(axis=1), n - 1)
+    ys %= n
+    return np.where(minus, (n - ys) % n, ys)
 
 
 def folded_median(ys: np.ndarray, t: int) -> np.ndarray:

@@ -15,8 +15,9 @@ pipeline composes:
   materializing the full precision register and applying the inverse QFT, or
   analytically from the eigenstructure; both paths produce the same
   distribution and are cross-checked in tests,
-* the amplitude-estimation outcome law, literally as a mixture of two
-  phase-estimation kernels and in closed form over blocks of angles.
+* the amplitude-estimation outcome law: the kernel of one Grover eigenbranch
+  at any outcomes, and the full law as the equal mixture of the two
+  branches.
 
 Norm is asserted to 1e-10 after every operation.
 """
@@ -29,7 +30,6 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .ledger import QueryLedger
 
@@ -299,11 +299,12 @@ def pe_kernel(delta_turns: np.ndarray, t: int) -> np.ndarray:
     limit delta -> 0 (mod 1).
     """
     n = 1 << t
-    d = np.mod(np.asarray(delta_turns, dtype=float) + 0.5, 1.0) - 0.5
-    tiny = np.abs(np.sin(np.pi * d)) < 1e-15
+    d = np.asarray(delta_turns, dtype=float)
+    d = d - np.rint(d)  # exact: the nearest whole turn removed
+    sin_d = np.sin(np.pi * d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.sin(np.pi * n * d) / (n * np.sin(np.pi * d))) ** 2
-    out[tiny] = 1.0
+        out = (np.sin(np.pi * n * d) / (n * sin_d)) ** 2
+    out[np.abs(sin_d) < 1e-15] = 1.0
     return out
 
 
@@ -344,6 +345,8 @@ def phase_distribution(
         block = np.fft.fft(block, axis=0) / math.sqrt(n)
         probs = np.sum(np.abs(block) ** 2, axis=1)
     elif method == "analytic":
+        import scipy.linalg  # 27 MB and 0.3 s of import that only this path needs
+
         tri, vecs = scipy.linalg.schur(mat, output="complex")
         phases = np.mod(np.angle(np.diag(tri)) / (2.0 * math.pi), 1.0)
         weights = np.abs(vecs.conj().T @ psi0) ** 2
@@ -360,6 +363,17 @@ def phase_distribution(
     return probs / total
 
 
+def ae_distribution(theta: float | np.ndarray, t: int, ys: np.ndarray) -> np.ndarray:
+    """Probabilities of the outcomes ``ys`` of amplitude estimation's t-qubit
+    phase register on the Grover eigenbranch of eigenphase 2*theta: the
+    phase-estimation kernel :func:`pe_kernel` at phase error
+    theta/pi - y/2^t, broadcast over ``theta`` and ``ys``.  It is 1 where
+    that error is a whole turn, so on-grid angles need no special case.  The
+    branch at -theta gives outcome y what this gives 2^t - y.
+    """
+    return pe_kernel(np.asarray(theta) / math.pi - np.asarray(ys) / (1 << t), t)
+
+
 def ae_mixture(theta: float, t: int) -> np.ndarray:
     """Outcome distribution of amplitude estimation at angle theta, literally.
 
@@ -367,41 +381,9 @@ def ae_mixture(theta: float, t: int) -> np.ndarray:
     eigenphases +-2*theta, so the precision register sees an equal mixture of
     the two phase-estimation kernels.
     """
-    n = 1 << t
-    ys = np.arange(n)
-    omega = theta / math.pi  # eigenphase 2*theta in turns
-    probs = 0.5 * pe_kernel(omega - ys / n, t) + 0.5 * pe_kernel(-omega - ys / n, t)
+    ys = np.arange(1 << t)
+    probs = 0.5 * ae_distribution(theta, t, ys) + 0.5 * ae_distribution(-theta, t, ys)
     return probs / probs.sum()
-
-
-# Angles closer than this to the outcome grid pi*y/2^t take the literal law:
-# there a closed-form denominator vanishes.
-_GRID_TOL = 1e-6
-
-
-def ae_distribution(theta: float | np.ndarray, t: int) -> np.ndarray:
-    """Outcome distribution of amplitude estimation, one row per angle.
-
-    With N = 2^t, both kernels of :func:`ae_mixture` share the numerator
-    sin^2(N*theta), which cancels on normalising, so the law is
-    p_y ~ 1/sin^2(theta - pi*y/N) + 1/sin^2(theta + pi*y/N).  The sines
-    come from per-call cos/sin tables of pi*y/N, with no transcendental per
-    element.  Angles within ``_GRID_TOL`` of the grid, where a sine vanishes,
-    take :func:`ae_mixture`'s row instead.  A scalar theta gives one row of N
-    probabilities, an array of angles a (len, N) array.
-    """
-    n = 1 << t
-    angles = np.atleast_1d(np.asarray(theta, dtype=float))
-    on_grid = np.abs(angles - math.pi * np.rint(angles * n / math.pi) / n) < _GRID_TOL
-    arc = math.pi * np.arange(n) / n
-    so_cy = np.sin(angles)[:, None] * np.cos(arc)
-    co_sy = np.cos(angles)[:, None] * np.sin(arc)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        law = 1.0 / (so_cy - co_sy) ** 2 + 1.0 / (so_cy + co_sy) ** 2
-        law /= law.sum(axis=1, keepdims=True)
-    for row in np.flatnonzero(on_grid):
-        law[row] = ae_mixture(float(angles[row]), t)
-    return law if np.ndim(theta) else law[0]
 
 
 def theta_from_outcome(y: int, t: int) -> float:

@@ -284,3 +284,28 @@ def test_calibrate_deterministic(tmp_path):
         ) == EXIT_OK
         blobs.append((out / "calibrate.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_ledger_compare_does_not_import_scipy_linalg(tmp_path):
+    # scipy.linalg costs about 27 MB and 0.3 s to import; only the analytic
+    # phase-estimation reference needs it.  A fresh interpreter, because the
+    # test run itself imports it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    case = Path(__file__).resolve().parent / "data" / "golden" / "ledger-m48"
+    argv = ["compare", str(case / "data.csv"), *(case / "argv.txt").read_text().split()]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, qlof.cli\n"
+        f"code = qlof.cli.main({[*argv, '--out', str(tmp_path / 'o')]!r})\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, imported = proc.stdout.split()
+    # Exit 6: the flag sets differ inside the error margin, a finished run.
+    assert int(code) in (EXIT_OK, EXIT_NEAR_THRESHOLD)
+    assert (tmp_path / "o" / "manifest.json").exists()
+    assert imported == "False"

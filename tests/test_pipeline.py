@@ -69,7 +69,7 @@ def test_distance_preparer_full_qpe_route():
     # The statevector preparer for a pair feeds the standard AE machinery and
     # reproduces the closed-form outcome law bin for bin.
     from qlof.qsim import (
-        ae_distribution,
+        ae_mixture,
         controlled_value_rotation,
         grover_operator,
         phase_distribution,
@@ -93,7 +93,7 @@ def test_distance_preparer_full_qpe_route():
     pipe = QuantumLofPipeline(ds, cfg(k=2))
     assert op.amplitude == pytest.approx(pipe._pair_probabilities([i], [t])[0], abs=1e-12)
     pm = phase_distribution(op.matrix, op.psi, 6, method="materialized")
-    assert np.allclose(pm, ae_distribution(op.theta, 6), atol=1e-10)
+    assert np.allclose(pm, ae_mixture(op.theta, 6), atol=1e-10)
 
 
 def test_rotation_shortcut_equals_value_register_pipeline():

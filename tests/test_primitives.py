@@ -18,7 +18,7 @@ from qlof.primitives import (
 from qlof.qsim import (
     GroverOperator,
     StateVector,
-    ae_distribution,
+    ae_mixture,
     grover_operator,
     phase_distribution,
     prepare_uniform,
@@ -87,7 +87,7 @@ def test_ae_via_qpe_distribution_identical():
 
         op = grover_operator(prep, ("q", 0))
         pm = phase_distribution(op.matrix, op.psi, 4, method="materialized")
-        assert np.allclose(pm, ae_distribution(theta, 4), atol=1e-10)
+        assert np.allclose(pm, ae_mixture(theta, 4), atol=1e-10)
         est = amplitude_estimate_via_qpe(prep, ("q", 0), 4, rng)
         assert 0.0 <= est.a_hat <= 1.0
 

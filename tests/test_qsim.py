@@ -10,7 +10,7 @@ from qlof.qsim import (
     RegisterOverlapError,
     StateVector,
     ValueRangeError,
-    ae_distribution,
+    ae_mixture,
     apply_oracle,
     controlled_value_rotation,
     grover_operator,
@@ -216,7 +216,7 @@ def test_phase_paths_agree_on_grover_operators():
         for t in (3, 5):
             pm = phase_distribution(op.matrix, op.psi, t, method="materialized")
             pa = phase_distribution(op.matrix, op.psi, t, method="analytic")
-            pl = ae_distribution(op.theta, t)
+            pl = ae_mixture(op.theta, t)
             assert np.allclose(pm, pa, atol=1e-10)
             assert np.allclose(pm, pl, atol=1e-10)
 

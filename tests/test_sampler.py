@@ -1,9 +1,11 @@
-"""The block amplitude-estimation sampler against per-draw references.
+"""The window amplitude-estimation sampler against the outcome law.
 
-``ae_outcomes`` must return exactly what ``Generator.choice`` returns on the
-literal outcome law for the same uniforms, and the chunked step-1 distance
-stage must equal a per-pair ``Generator.choice`` loop over the stage's one
-stream, draw for draw, whatever the chunk size.
+``ae_outcomes`` must sample the literal outcome law ``ae_mixture`` exactly:
+its outcome counts over evenly spaced uniforms must match the law to within
+rounding of the count, on and off the outcome grid, with and without draws
+in the tail beyond the window.  The chunked step-1 distance stage must equal
+a per-pair loop of scalar ``ae_outcomes`` calls on the stage's one stream,
+draw for draw, whatever the chunk size.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from qlof import pipeline, primitives
 from qlof.dataset import RunConfig, normalized_distance_matrix
@@ -19,6 +22,8 @@ from qlof.pipeline import _STREAM_DIST, QuantumLofPipeline
 from qlof.primitives import ae_outcomes, amplitude_estimate
 from qlof.qsim import ae_distribution, ae_mixture, pe_kernel, theta_from_outcome
 from qlof.synthetic import gaussian_clusters, random_dataset
+
+MIDPOINTS = 1 << 18
 
 
 def literal_law(theta, t):
@@ -30,96 +35,160 @@ def literal_law(theta, t):
     return p / p.sum()
 
 
-@st.composite
-def angle_blocks(draw):
-    t = draw(st.integers(1, 12))
+def law_angles(t):
+    """0, pi/2, an angle 1e-7 off the grid, one on it, and two generic ones."""
     n = 1 << t
-    thetas = []
-    # Up to 40 angles: enough rows that the sampler's one search over the
-    # row-shifted CDFs meets shifts far above the first few.
-    for _ in range(draw(st.integers(1, 40))):
-        if draw(st.booleans()):
-            theta = draw(st.floats(0.0, math.pi / 2))
-        else:
-            # Grid angles pi*y/2^t (0 and pi/2 among them) and neighbours on
-            # both sides of the sampler's grid tolerance.
-            theta = math.pi * draw(st.integers(0, n // 2)) / n
-            theta += draw(st.sampled_from([0.0, -1e-12, 1e-12, -5e-7, 5e-7, -2e-6, 2e-6]))
-        thetas.append(min(max(theta, 0.0), math.pi / 2))
-    return thetas, t
+    return [0.0, math.pi / 2, 1e-7, math.pi * max(1, n // 8) / n, 0.4321, 1.2345]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    block=angle_blocks(),
-    r=st.sampled_from([1, 3, 5, 7]),
-    seed=st.integers(0, 2**32 - 1),
-)
-# An angle this close to 0 overflows the closed form's 1/sin^2 before its
-# row is replaced by the literal law.
-@example(block=([1e-158], 1), r=1, seed=0)
-def test_ae_outcomes_equal_choice_on_the_literal_law(block, r, seed):
-    thetas, t = block
-    got = ae_outcomes(thetas, t, np.random.default_rng(seed).random((len(thetas), r)))
-    rng = np.random.default_rng(seed)
-    want = [rng.choice(1 << t, size=r, p=literal_law(theta, t)) for theta in thetas]
-    assert np.array_equal(got, np.array(want))
+def window_mass(theta, t):
+    """Mass of the +theta kernel over the sampler's window of outcomes."""
+    n = 1 << t
+    w = min(primitives._WINDOW, n // 2)
+    lo = math.floor(theta * n / math.pi) - (w - 1)
+    return float(pe_kernel(theta / math.pi - np.arange(lo, lo + 2 * w) / n, t).sum())
+
+
+def midpoint_counts(theta, t, u):
+    """Outcome counts of ``ae_outcomes`` over the uniforms ``u``, sampled in
+    slices so the tail's (draws, 2^t) table stays small."""
+    counts = np.zeros(1 << t, dtype=np.int64)
+    for part in np.array_split(u, 16):
+        counts += np.bincount(ae_outcomes([theta], t, part[None, :])[0], minlength=1 << t)
+    return counts
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_ae_outcomes_match_the_law_on_midpoint_uniforms(t):
+    # Outcome y takes the uniforms of at most two intervals, one per branch,
+    # of total length p_y, so the 2^18 evenly spaced uniforms (i + 1/2)/2^18
+    # put within 2 of 2^18 * p_y draws on it.  t <= 5 has 2W = N: no tail.
+    u = (np.arange(MIDPOINTS) + 0.5) / MIDPOINTS
+    for theta in law_angles(t):
+        counts = midpoint_counts(theta, t, u)
+        assert counts.sum() == MIDPOINTS
+        assert np.abs(counts - MIDPOINTS * ae_mixture(theta, t)).max() <= 4.0, theta
+
+
+def test_ae_outcomes_pass_a_chi_square_test_against_the_law():
+    rng = np.random.default_rng(11)
+    for theta, t in [(0.4321, 6), (1.2345, 8), (0.05, 10), (math.pi / 3, 12)]:
+        ys = ae_outcomes(np.full(64, theta), t, rng.random((64, 500))).ravel()
+        want = ys.size * ae_mixture(theta, t)
+        seen = np.bincount(ys, minlength=1 << t)
+        # Pool the outcomes expected fewer than 5 times into one bin.
+        big = want >= 5
+        f_obs = np.append(seen[big], seen[~big].sum())
+        f_exp = np.append(want[big], want[~big].sum())
+        assert chisquare(f_obs, f_exp).pvalue > 1e-3, (theta, t)
 
 
 def test_ae_distribution_rows_match_the_literal_law():
     thetas = np.array([0.0, 1e-7, 0.3, math.pi / 8, math.pi / 8 + 1e-3, 1.2, math.pi / 2])
     for t in (1, 2, 5, 10):
-        law = ae_distribution(thetas, t)
-        assert law.shape == (thetas.size, 1 << t)
-        for theta, row in zip(thetas, law):
-            assert np.allclose(row, literal_law(theta, t), rtol=1e-9, atol=1e-15)
-            assert np.array_equal(ae_distribution(float(theta), t), row)
-    assert np.array_equal(ae_distribution(0.0, 6), ae_mixture(0.0, 6))
+        n = 1 << t
+        ys = np.arange(n)
+        plus = ae_distribution(thetas[:, None], t, ys)
+        minus = ae_distribution(-thetas[:, None], t, ys)
+        assert plus.shape == (thetas.size, n)
+        # The -theta branch is the +theta branch reflected: y -> N - y.
+        assert np.allclose(minus, plus[:, (n - ys) % n], rtol=1e-9, atol=1e-15)
+        for theta, p, q in zip(thetas, plus, minus):
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(0.5 * (p + q), literal_law(theta, t), rtol=1e-9, atol=1e-15)
+            assert np.allclose(ae_mixture(theta, t), literal_law(theta, t), rtol=1e-12, atol=1e-15)
 
 
 def test_amplitude_estimate_of_a_subnormal_amplitude():
     assert amplitude_estimate(1e-310, 6, np.random.default_rng(0)).theta_hat == 0.0
 
 
-def test_draw_on_a_literal_cdf_step_takes_the_fallback(monkeypatch):
-    # Off the grid the closed-form CDF differs from the literal one in the
-    # last bits; a draw exactly on a literal step where the closed-form step
-    # lies above it would land one outcome early without the fallback row.
-    theta, t = 0.4321, 9
-    literal = literal_law(theta, t).cumsum()
-    literal /= literal[-1]
-    closed = ae_distribution(theta, t).cumsum()
-    closed /= closed[-1]
-    k = int(np.flatnonzero(closed > literal)[0])
-    u = np.array([[literal[k]]])
-    assert np.searchsorted(closed, u[0, 0], side="right") == k
-
+@pytest.mark.parametrize("theta, t", [(0.4321, 9), (1.2345, 12), (0.05, 7)])
+def test_draw_past_the_window_takes_the_tail(theta, t, monkeypatch):
+    # Uniforms past half the window's mass, on either branch, all go to the
+    # tail: the kernel over every outcome with the window zeroed.  Their
+    # counts must follow that law reflected for the -theta branch, and the
+    # sampler must evaluate the full row (its second law evaluation).
+    n = 1 << t
+    mass = window_mass(theta, t)
+    assert mass < 1.0
+    draws = 1 << 12
+    v = mass + (1.0 - mass) * (np.arange(draws) + 0.5) / draws
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return ae_mixture(*args)
+    def counted(theta_, t_, ys):
+        calls.append(np.shape(ys))
+        return ae_distribution(theta_, t_, ys)
 
-    monkeypatch.setattr(primitives, "ae_mixture", counted)
-    # Generator.choice returns the first literal step above the draw: k + 1.
-    assert ae_outcomes([theta], t, u)[0, 0] == k + 1
-    assert calls == [(theta, t)]
+    monkeypatch.setattr(primitives, "ae_distribution", counted)
+    for branch in (0, 1):
+        calls.clear()
+        u = np.array_split((v + branch) / 2.0, 8)
+        ys = np.concatenate([ae_outcomes([theta], t, part[None, :])[0] for part in u])
+        assert calls[-1] == (n,)
+        if branch:
+            ys = (n - ys) % n
+        plus = pe_kernel(theta / math.pi - np.arange(n) / n, t)
+        w = min(primitives._WINDOW, n // 2)
+        lo = math.floor(theta * n / math.pi) - (w - 1)
+        plus[np.arange(lo, lo + 2 * w) % n] = 0.0
+        counts = np.bincount(ys, minlength=n)
+        assert counts[plus == 0.0].sum() == 0
+        assert np.abs(counts - draws * plus / plus.sum()).max() <= 4.0
 
 
 def test_draw_next_to_one_stays_in_its_row():
-    # 1 - 2^-53 plus a row shift of 1 or more rounds up onto the next row.
-    thetas, t = [0.3, 0.7, 1.1], 6
-    u = np.full((len(thetas), 2), np.nextafter(1.0, 0.0))
-    want = []
-    for theta, draws in zip(thetas, u):
-        cdf = literal_law(theta, t).cumsum()
-        cdf /= cdf[-1]
-        want.append(cdf.searchsorted(draws, side="right"))  # as Generator.choice
-    assert np.array_equal(ae_outcomes(thetas, t, u), np.array(want))
+    # u = 0 and u = 1 - 2^-53 (the last uniform: the -theta branch's v next
+    # to one, past the window unless it holds every outcome) give outcomes in
+    # [0, 2^t), whatever the angle.
+    u = np.array([[0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)]])
+    for t in range(1, 13):
+        for theta in law_angles(t):
+            ys = ae_outcomes([theta], t, u)
+            assert ys.shape == u.shape
+            assert ((ys >= 0) & (ys < 1 << t)).all(), (theta, t, ys)
+
+
+UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, float(np.nextafter(0.5, 0.0)), 0.5, float(np.nextafter(1.0, 0.0))]),
+)
+
+
+@st.composite
+def sampler_inputs(draw):
+    """A precision t, a block of angles and each angle's uniforms."""
+    t = draw(st.integers(1, 12))
+    n = 1 << t
+    thetas = []
+    for _ in range(draw(st.integers(1, 20))):
+        if draw(st.booleans()):
+            theta = draw(st.floats(0.0, math.pi / 2))
+        else:
+            # Grid angles pi*y/2^t (0 and pi/2 among them) and their neighbours.
+            theta = math.pi * draw(st.integers(0, n // 2)) / n
+            theta += draw(st.sampled_from([0.0, -1e-12, 1e-12, -5e-7, 5e-7]))
+        thetas.append(min(max(theta, 0.0), math.pi / 2))
+    r = draw(st.integers(1, 5))
+    u = [[draw(UNIFORMS) for _ in range(r)] for _ in thetas]
+    return thetas, t, np.array(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=sampler_inputs())
+@example(inputs=([1e-158], 1, np.array([[0.25]])))
+def test_outcomes_are_in_range_and_a_function_of_angle_and_uniform(inputs):
+    thetas, t, u = inputs
+    ys = ae_outcomes(thetas, t, u)
+    assert ys.shape == u.shape
+    assert ((ys >= 0) & (ys < 1 << t)).all()
+    for b, theta in enumerate(thetas):
+        for r, x in enumerate(u[b]):
+            assert ys[b, r] == ae_outcomes([theta], t, [[x]])[0, 0]
 
 
 def _reference_distances(pipe):
-    """Step 1 as one amplitude-estimation draw per pair, the pairs in
+    """Step 1 as one scalar ``ae_outcomes`` call per pair, the pairs in
     upper-triangle row order, all from the stage's one generator."""
     cfg = pipe.config
     m, t = pipe.ds.m, cfg.ae_qubits_dist
@@ -133,7 +202,7 @@ def _reference_distances(pipe):
             else:
                 a = dmat[i, j] ** 2
             theta = math.asin(min(1.0, math.sqrt(max(a, 0.0))))
-            ys = rng.choice(1 << t, size=cfg.ae_repeats, p=literal_law(theta, t))
+            ys = ae_outcomes([theta], t, rng.random((1, cfg.ae_repeats)))[0]
             thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
             ref[i, j] = ref[j, i] = math.sin(thetas[cfg.ae_repeats // 2])
     return ref
@@ -153,11 +222,11 @@ def test_distance_estimates_equal_the_per_pair_loop(backend, make):
 
 
 def test_distance_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
-    # 435 pairs: neither 7 nor the default divides them.
+    # 435 pairs: none of 7, 16 and the default divides them.
     ds = gaussian_clusters(30, 2, np.random.default_rng(7))
     config = RunConfig(k=3, backend="ledger", ae_repeats=3, seed=4)
     mats = []
-    for chunk in (1, 7, pipeline._DIST_CHUNK):
+    for chunk in (1, 7, 16, pipeline._DIST_CHUNK):
         monkeypatch.setattr(pipeline, "_DIST_CHUNK", chunk)
         mats.append(QuantumLofPipeline(ds, config).distance_estimates())
     assert all(np.array_equal(mats[0], mat) for mat in mats[1:])
