@@ -14,8 +14,12 @@ command (``argv.txt``) and the files it wrote:
 
 The files follow the random-number layout of ``qlof.pipeline``: one
 generator per stage, keyed by (seed, stage), with step 1's pairs drawn in
-upper-triangle row order.  A deliberate change of that layout regenerates
-these files, in a change of their own that lists them.
+upper-triangle row order, and the map from uniforms to outcomes of
+``primitives.ae_outcomes``, the Fejer-window sampler (one uniform per
+draw: its half picks the +-theta kernel, the rest inverts that kernel over
+a window around its peak or, past the window, over the tail).  A deliberate
+change of either regenerates these files, in a change of their own that
+lists them.
 """
 
 from pathlib import Path
