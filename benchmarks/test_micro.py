@@ -7,8 +7,12 @@ Kept out of the test run (``testpaths`` is ``tests``); run them with
 ``pytest-benchmark`` prints a table of per-call times.  The end-to-end
 figures come from ``bench/run.py``; these isolate one primitive each:
 
-* the block sampler ``ae_outcomes`` on 16 angles against 16 scalar
-  ``amplitude_estimate`` calls, at the precisions t = 6, 9 and 12;
+* the window sampler ``ae_outcomes`` on one step-1 chunk: 1024 angles with
+  3 draws each at t = 10, the ``ledger-m256`` precision;
+* one scalar ``amplitude_estimate`` of 3 repeats at t = 5 and t = 6, the
+  counting and step-3 precisions of ``qlof scale`` and ``ledger-m256``;
+* ``phase_distribution`` of a two-qubit Grover operator at t = 8 by both
+  methods: the materialized register and the eigenbasis sum;
 * the step-1 distance stage of a ledger pipeline at m = 64 and at m = 256,
   the ``ledger-m256`` size (t = 10, 3 repeats): 32,640 pairs sampled in
   chunks from one stream;
@@ -41,34 +45,45 @@ from qlof.primitives import (
     kth_smallest,
     quantum_count,
 )
-from qlof.qsim import StateVector, controlled_value_rotation, prepare_uniform
+from qlof.qsim import (
+    StateVector,
+    controlled_value_rotation,
+    grover_operator,
+    phase_distribution,
+    prepare_uniform,
+)
 from qlof.synthetic import gaussian_clusters
 
-BLOCK = 16
 REPEATS = 3
 
 
-def _amplitudes():
-    return np.random.default_rng(0).random(BLOCK)
+def test_ae_outcomes_chunk_t10(benchmark):
+    rng = np.random.default_rng(0)
+    thetas = amplitude_angle(rng.random(1024))
+    u = rng.random((1024, REPEATS))
+    assert benchmark(ae_outcomes, thetas, 10, u).shape == (1024, REPEATS)
 
 
-@pytest.mark.parametrize("t", [6, 9, 12])
-def test_ae_outcomes_block(benchmark, t):
-    thetas = [amplitude_angle(a) for a in _amplitudes()]
-    u = np.random.default_rng(1).random((BLOCK, REPEATS))
-    ys = benchmark(ae_outcomes, thetas, t, u)
-    assert ys.shape == (BLOCK, REPEATS)
-
-
-@pytest.mark.parametrize("t", [6, 9, 12])
-def test_amplitude_estimate_per_pair(benchmark, t):
-    amps = _amplitudes()
+@pytest.mark.parametrize("t", [5, 6])
+def test_amplitude_estimate_scalar(benchmark, t):
     rng = np.random.default_rng(1)
+    est = benchmark(amplitude_estimate, 0.37, t, rng, repeats=REPEATS)
+    assert 0.0 <= est.a_hat <= 1.0
 
-    def per_pair():
-        return [amplitude_estimate(float(a), t, rng, repeats=REPEATS) for a in amps]
 
-    assert len(benchmark(per_pair)) == BLOCK
+@pytest.mark.parametrize("method", ["materialized", "analytic"])
+def test_phase_distribution(benchmark, method):
+    amps = np.random.default_rng(2).normal(size=4) + 0j
+    amps /= np.linalg.norm(amps)
+
+    def preparer():
+        sv = StateVector([("q", 2)])
+        sv.amps = amps.copy()
+        return sv
+
+    op = grover_operator(preparer, ("q", 0))
+    probs = benchmark(phase_distribution, op.matrix, op.psi, 8, method=method)
+    assert probs.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("m, rounds", [(64, 5), (256, 3)])

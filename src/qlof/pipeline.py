@@ -106,10 +106,10 @@ _STREAM_FLAG = 5
 _STREAMS = range(6)
 
 # Step-1 pairs per sampler call.  The estimates do not depend on it.  A
-# chunk's transients are its (chunk, 2 * 16) window table and a (chunk,
-# repeats, 2 * 16) comparison, about 0.5 MB at 1024 pairs; at m = 256,
-# t = 10 the stage took 0.154 s in 16-pair chunks, 0.070 s in 512-pair ones,
-# 0.067 s in 1024 and 0.101 s in 4096 (one process, best of 3).
+# chunk's transients are a few (chunk, 32) float arrays, 256 kB each at 1024
+# pairs.  At m = 256, t = 10 the stage took 0.238 s in 16-pair chunks, 0.070 s
+# in 512, 0.068 s in 1024, 0.066 s in 2048 and 0.110 s in 4096 (one process,
+# best of 3, 2 cores).
 _DIST_CHUNK = 1024
 
 
