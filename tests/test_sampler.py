@@ -41,12 +41,11 @@ def law_angles(t):
     return [0.0, math.pi / 2, 1e-7, math.pi * max(1, n // 8) / n, 0.4321, 1.2345]
 
 
-def window_mass(theta, t):
-    """Mass of the +theta kernel over the sampler's window of outcomes."""
-    n = 1 << t
-    w = min(primitives._WINDOW, n // 2)
-    lo = math.floor(theta * n / math.pi) - (w - 1)
-    return float(pe_kernel(theta / math.pi - np.arange(lo, lo + 2 * w) / n, t).sum())
+def window(theta, t):
+    """The sampler's window: the 2W outcomes around the +theta peak, unreduced."""
+    w = min(primitives._WINDOW, 1 << (t - 1))
+    lo = math.floor(theta * (1 << t) / math.pi) - (w - 1)
+    return np.arange(lo, lo + 2 * w)
 
 
 def midpoint_counts(theta, t, u):
@@ -111,7 +110,7 @@ def test_draw_past_the_window_takes_the_tail(theta, t, monkeypatch):
     # counts must follow that law reflected for the -theta branch, and the
     # sampler must evaluate the full row (its second law evaluation).
     n = 1 << t
-    mass = window_mass(theta, t)
+    mass = float(pe_kernel(theta / math.pi - window(theta, t) / n, t).sum())
     assert mass < 1.0
     draws = 1 << 12
     v = mass + (1.0 - mass) * (np.arange(draws) + 0.5) / draws
@@ -130,9 +129,7 @@ def test_draw_past_the_window_takes_the_tail(theta, t, monkeypatch):
         if branch:
             ys = (n - ys) % n
         plus = pe_kernel(theta / math.pi - np.arange(n) / n, t)
-        w = min(primitives._WINDOW, n // 2)
-        lo = math.floor(theta * n / math.pi) - (w - 1)
-        plus[np.arange(lo, lo + 2 * w) % n] = 0.0
+        plus[window(theta, t) % n] = 0.0
         counts = np.bincount(ys, minlength=n)
         assert counts[plus == 0.0].sum() == 0
         assert np.abs(counts - draws * plus / plus.sum()).max() <= 4.0
