@@ -344,7 +344,7 @@ def phase_distribution(
         block = np.fft.fft(block, axis=0) / math.sqrt(n)
         probs = np.sum(np.abs(block) ** 2, axis=1)
     elif method == "analytic":
-        import scipy.linalg  # 27 MB and 0.3 s of import that only this path needs
+        import scipy.linalg  # about 26 MB and 0.3 s of import that only this path needs
 
         tri, vecs = scipy.linalg.schur(mat, output="complex")
         phases = np.mod(np.angle(np.diag(tri)) / (2.0 * math.pi), 1.0)
