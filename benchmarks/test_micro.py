@@ -10,7 +10,8 @@ figures come from ``bench/run.py``; these isolate one primitive each:
 * the window sampler ``ae_outcomes`` on one step-1 chunk: 1024 angles with
   3 draws each at t = 10, the ``ledger-m256`` precision;
 * one scalar ``amplitude_estimate`` of 3 repeats at t = 5 and t = 6, the
-  counting and step-3 precisions of ``qlof scale`` and ``ledger-m256``;
+  counting and step-3 precisions of ``qlof scale`` and ``ledger-m256``, and
+  the step-3 stage's one array call: 256 amplitudes at t = 6;
 * ``phase_distribution`` of a two-qubit Grover operator at t = 8 by both
   methods: the materialized register and the eigenbasis sum;
 * the step-1 distance stage of a ledger pipeline at m = 64 and at m = 256,
@@ -21,7 +22,8 @@ figures come from ``bench/run.py``; these isolate one primitive each:
 * an exact-backend ``grover_search`` with nothing marked, the saturation
   check that ends every neighborhood collection;
 * the ledger-backend layers behind a ``ledger-m256`` point: ``kth_smallest``
-  at m = 255, k = 3, boost 1, ``quantum_count`` at t = 5 with 3 repeats, and
+  at m = 255, k = 3, boost 1, ``quantum_count`` at t = 5 with 3 repeats
+  over one row and over the counting stage's 256 x 255 mask, and
   ``grover_collect`` over a neighborhood that is already complete;
 * step 2's fixed-point operations at the ``qlof scale`` format (20, 12):
   ``q_mul_add`` into the (40, 24) accumulator and the ``q_div`` of that sum
@@ -38,7 +40,6 @@ from qlof.lof import build_table
 from qlof.pipeline import QuantumLofPipeline
 from qlof.primitives import (
     ae_outcomes,
-    amplitude_angle,
     amplitude_estimate,
     grover_collect,
     grover_search,
@@ -59,7 +60,7 @@ REPEATS = 3
 
 def test_ae_outcomes_chunk_t10(benchmark):
     rng = np.random.default_rng(0)
-    thetas = amplitude_angle(rng.random(1024))
+    thetas = np.arcsin(np.sqrt(rng.random(1024)))
     u = rng.random((1024, REPEATS))
     assert benchmark(ae_outcomes, thetas, 10, u).shape == (1024, REPEATS)
 
@@ -69,6 +70,13 @@ def test_amplitude_estimate_scalar(benchmark, t):
     rng = np.random.default_rng(1)
     est = benchmark(amplitude_estimate, 0.37, t, rng, repeats=REPEATS)
     assert 0.0 <= est.a_hat <= 1.0
+
+
+def test_amplitude_estimate_array_t6(benchmark):
+    a = np.random.default_rng(1).random(256)
+    rng = np.random.default_rng(1)
+    est = benchmark(amplitude_estimate, a, 6, rng, repeats=REPEATS)
+    assert est.a_hat.shape == (256,)
 
 
 @pytest.mark.parametrize("method", ["materialized", "analytic"])
@@ -133,6 +141,12 @@ def test_quantum_count_t5(benchmark):
     marked = np.random.default_rng(7).random(255) < 0.02
     rng = np.random.default_rng(8)
     assert benchmark(quantum_count, marked, 5, rng, repeats=REPEATS).queries == REPEATS * 31
+
+
+def test_quantum_count_rows_t5(benchmark):
+    marked = np.random.default_rng(7).random((256, 255)) < 0.02
+    rng = np.random.default_rng(8)
+    assert benchmark(quantum_count, marked, 5, rng, repeats=REPEATS).count.shape == (256,)
 
 
 def test_ledger_grover_collect_nothing_left(benchmark):

@@ -108,6 +108,15 @@ class LofReport:
         }
 
 
+def off_diagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's distances to the m-1 others, as the (m, m-1) rows of
+    ``mat`` without its diagonal, and the point index of every entry (row i
+    lists the points 0..m-1 but i, in order)."""
+    m = mat.shape[0]
+    off = ~np.eye(m, dtype=bool)
+    return mat[off].reshape(m, m - 1), np.nonzero(off)[1].reshape(m, m - 1)
+
+
 def build_table(ds: Dataset, k: int, dmat: np.ndarray | None = None) -> NeighborhoodTable:
     """Every point's k-distance and neighborhood: all points within the
     k-distance (>= k members, more on ties).  ``dmat`` is the dataset's
@@ -116,14 +125,13 @@ def build_table(ds: Dataset, k: int, dmat: np.ndarray | None = None) -> Neighbor
         raise ValueError(f"k={k} outside [1, m-1={ds.m - 1}]")
     if dmat is None:
         dmat = normalized_distance_matrix(ds)
-    rows = []
-    for i in range(ds.m):
-        d = dmat[i]
-        kd = float(np.sort(np.delete(d, i))[k - 1])
-        members = [int(t) for t in range(ds.m) if t != i and d[t] <= kd]
-        rows.append(
-            NeighborRow(kdist=kd, neighbors=members, dists=[float(d[t]) for t in members])
-        )
+    dists, points = off_diagonal(dmat)
+    kdist = np.sort(dists, axis=1)[:, k - 1]
+    within = dists <= kdist[:, None]
+    rows = [
+        NeighborRow(kdist=float(kd), neighbors=pts[inside].tolist(), dists=d[inside].tolist())
+        for kd, d, pts, inside in zip(kdist, dists, points, within)
+    ]
     return NeighborhoodTable(rows=rows, k=k)
 
 

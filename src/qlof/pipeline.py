@@ -22,10 +22,11 @@ coherent circuit would carry and keeps all threshold predicates consistent.
 
 Random streams: each stochastic stage -- distances, k-distance, counting,
 collection, outlier factors, flagging -- draws from one generator of its own,
-keyed by (seed, stage).  The distance stage consumes it pair by pair in
-upper-triangle row order, ``ae_repeats`` uniforms per pair; the per-point
-stages consume theirs in point order.  So a stage's draws do not depend on
-how another stage, or the distance sampler's chunking, uses its stream.
+keyed by (seed, stage).  Distances, counting and outlier factors are each
+one :func:`amplitude_estimate` call, ``ae_repeats`` uniforms per pair in
+upper-triangle row order or per point in point order; the search stages
+draw point by point.  So a stage's draws do not depend on how another stage
+uses its stream.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ from .dataset import (
 )
 from .fixedpoint import FixedPoint, encode, q_div, q_max, q_mul_add, zero
 from .ledger import QueryLedger
-from .lof import NeighborhoodTable, NeighborRow, flag as classical_flag
+from .lof import NeighborhoodTable, NeighborRow, flag as classical_flag, off_diagonal
 from .primitives import (
     CountEstimate,
-    ae_outcomes,
     ae_queries,
-    amplitude_angle,
     amplitude_estimate,
-    folded_median,
     grover_collect,
     kth_smallest,
     quantum_count,
@@ -105,13 +103,6 @@ _STREAM_LOF = 4
 _STREAM_FLAG = 5
 _STREAMS = range(6)
 
-# Step-1 pairs per sampler call.  The estimates do not depend on it.  A
-# chunk's transients are a few (chunk, 32) float arrays, 256 kB each at 1024
-# pairs.  At m = 256, t = 10 the stage took 0.238 s in 16-pair chunks, 0.070 s
-# in 512, 0.068 s in 1024, 0.066 s in 2048 and 0.110 s in 4096 (one process,
-# best of 3, 2 cores).
-_DIST_CHUNK = 1024
-
 
 class QuantumLofPipeline:
     """One dataset + one configuration, exact or ledger backend."""
@@ -139,12 +130,17 @@ class QuantumLofPipeline:
         # preparation plus two per Grover power; each preparation touches the
         # data oracle four times (two loads, two uncomputes) and the
         # multiply-adder twice (compute and uncompute the difference).
+        # The search stages charge it with each query of their predicate.
         a1 = ae_queries(config.ae_qubits_dist, 1)
         self._dist_eval_cost = {
             "step1.a_dist": a1,
             "step1.o_x": 4 * a1,
             "step1.qma": 2 * a1,
             "step1.rot": a1,
+        }
+        self._query_cost = {
+            query: {**self._dist_eval_cost, query: 1}
+            for query in ("step1.value_query", "step1.count_pred", "step1.pred_query")
         }
 
     # ------------------------------------------------------------------
@@ -190,125 +186,109 @@ class QuantumLofPipeline:
         return self._dmat[iu, ju] ** 2
 
     def distance_estimates(self) -> np.ndarray:
-        """All pairwise frozen estimates sin(theta_hat(i, t)), symmetric.
+        """All pairwise frozen estimates sin(theta_hat) = sqrt(a_hat), symmetric.
 
-        The m(m-1)/2 pairs i < t are taken in upper-triangle row order and
-        sampled ``_DIST_CHUNK`` at a time by :func:`ae_outcomes`.  Each pair's
-        ``ae_repeats`` uniforms are the next ones of the stage generator, so
-        the chunk size does not change the estimates, and every estimate is
-        the median of that pair's own amplitude-estimation draws.  Charges one
-        coherent estimation pass per point row (the t-superposition is served
-        by a single pass).
+        The m(m-1)/2 pairs i < t are estimated by one
+        :func:`amplitude_estimate` call in upper-triangle row order, so every
+        estimate is the median of that pair's own ``ae_repeats`` draws from
+        the stage generator.  Charges one coherent estimation pass per point
+        row (the t-superposition is served by a single pass).
         """
         if self._dist_hat is None:
             m = self.ds.m
             cfg = self.config
-            tq, reps = cfg.ae_qubits_dist, cfg.ae_repeats
-            n = 1 << tq
-            sin_hat = np.array([math.sin(math.pi * y / n) for y in range(n // 2 + 1)])
             iu, ju = np.triu_indices(m, 1)
-            thetas = amplitude_angle(self._pair_probabilities(iu, ju))
-            rng = self._rngs[_STREAM_DIST]
-            est = np.empty(iu.size)
-            for lo in range(0, iu.size, _DIST_CHUNK):
-                chunk = thetas[lo : lo + _DIST_CHUNK]
-                ys = ae_outcomes(chunk, tq, rng.random((chunk.size, reps)))
-                est[lo : lo + chunk.size] = sin_hat[folded_median(ys, tq)]
+            est = amplitude_estimate(
+                self._pair_probabilities(iu, ju),
+                cfg.ae_qubits_dist,
+                self._rngs[_STREAM_DIST],
+                repeats=cfg.ae_repeats,
+            )
             mat = np.zeros((m, m))
-            mat[iu, ju] = mat[ju, iu] = est
-            self.ledger.charge_many(self._dist_eval_cost, m * reps)
+            mat[iu, ju] = mat[ju, iu] = np.sqrt(est.a_hat)
+            self.ledger.charge_many(self._dist_eval_cost, m * cfg.ae_repeats)
             self._dist_hat = mat
         return self._dist_hat
 
-    def _others(self, i: int) -> np.ndarray:
-        """Frozen estimates from point i to its m-1 candidates.  Candidate j
-        is point j + (j >= i): the search domain skips i itself."""
-        return np.delete(self.distance_estimates()[i], i)
-
-    def find_k_distance(self, i: int) -> tuple[float, list[int]]:
-        """k-distance of point i over the frozen estimates, by k successive
-        minimum searches; also returns the k indices found on the way."""
+    def find_k_distance(self, row: np.ndarray) -> tuple[float, list[int]]:
+        """k-distance over one point's search row, its frozen estimates to
+        the other m-1 points (:func:`~qlof.lof.off_diagonal`), by k successive
+        minimum searches; also returns the k row positions found on the way."""
         cfg = self.config
         res = kth_smallest(
-            self._others(i),
+            row,
             cfg.k,
             self._rngs[_STREAM_KDIST],
             budget_multiplier=cfg.budget_multiplier,
             boost=cfg.min_boost,
             ledger=self.ledger,
-            charge={**self._dist_eval_cost, "step1.value_query": 1},
+            charge=self._query_cost["step1.value_query"],
         )
-        return res.value, [j + (j >= i) for j in res.indices]
+        return res.value, res.indices
 
-    def count_neighbors(self, i: int, kdist: float) -> CountEstimate:
-        """Quantum counting of the neighborhood predicate for point i."""
+    def count_neighbors(self, rows: np.ndarray, kdist: np.ndarray) -> CountEstimate:
+        """Quantum counting of the neighborhood predicate of every search row
+        against its own k-distance, in one call, rows in point order."""
         cfg = self.config
         return quantum_count(
-            self._others(i) <= kdist,
+            rows <= kdist[:, None],
             cfg.ae_qubits_count,
             self._rngs[_STREAM_COUNT],
             repeats=cfg.ae_repeats,
             ledger=self.ledger,
-            charge={**self._dist_eval_cost, "step1.count_pred": 1},
+            charge=self._query_cost["step1.count_pred"],
         )
 
     def find_neighbors(
-        self, i: int, kdist: float, expected: int, seed_found: list[int]
+        self, row: np.ndarray, kdist: float, expected: int, seed_found: list[int]
     ) -> tuple[list[int], bool]:
-        """Collect the neighborhood by Grover search with exclusion.
+        """Collect one search row's neighborhood by Grover search with
+        exclusion, starting from the row positions ``seed_found``.
 
         Runs until a search confirms saturation; ``expected`` plus two
         (and the configured shot budget) caps the invocations.  Returns
-        (sorted neighbor indices, saturation confirmed).
+        (sorted row positions, saturation confirmed).
         """
         cfg = self.config
-        seeds = [t - (t > i) for t in seed_found]
-        found, saturated = grover_collect(
-            self._others(i) <= kdist,
+        return grover_collect(
+            row <= kdist,
             self._rngs[_STREAM_COLLECT],
             ledger=self.ledger,
             exact=(cfg.backend == "exact"),
             expected=expected,
-            seed_found=seeds,
+            seed_found=seed_found,
             max_invocations=cfg.shots,
-            charge={**self._dist_eval_cost, "step1.pred_query": 1},
+            charge=self._query_cost["step1.pred_query"],
         )
-        return [j + (j >= i) for j in found], saturated
 
     def build_neighborhood_table(self) -> NeighborhoodTable:
-        """Step 1 end to end for every point."""
+        """Step 1 end to end for every point: the k-distance searches, one
+        counting call over all search rows, then the collections."""
         eps1 = self.config.eps_dist
-        dist = self.distance_estimates()
-        rows = []
-        for i in range(self.ds.m):
-            kdist, seeds = self.find_k_distance(i)
-            count = self.count_neighbors(i, kdist)
-            neighbors, saturated = self.find_neighbors(
-                i, kdist, expected=count.count, seed_found=seeds
-            )
-            if not saturated and len(neighbors) < count.count:
+        rows, points = off_diagonal(self.distance_estimates())
+        searched = [self.find_k_distance(row) for row in rows]
+        kdist = np.array([kd for kd, _ in searched])
+        counts = self.count_neighbors(rows, kdist).count.tolist()
+        table = []
+        for i, (row, kd, (_, seeds), count) in enumerate(zip(rows, kdist, searched, counts)):
+            found, saturated = self.find_neighbors(row, kd, expected=count, seed_found=seeds)
+            if not saturated and len(found) < count:
                 self.warnings.append(
                     f"point {i}: neighbor collection hit the cap at "
-                    f"{len(neighbors)} of an estimated {count.count}"
+                    f"{len(found)} of an estimated {count}"
                 )
             # Membership can flip when a true distance sits within eps_dist of
             # the threshold and the estimate itself is eps_dist off, so the
             # observable symptom spans two grid cells around the threshold.
-            others = self._others(i)
-            if np.any((np.abs(others - kdist) <= 2.0 * eps1) & (others != kdist)):
+            if np.any((np.abs(row - kd) <= 2.0 * eps1) & (row != kd)):
                 self.warnings.append(
                     f"point {i}: a distance estimate lies near the k-distance "
                     f"threshold; membership may differ from the classical "
                     f"neighborhood"
                 )
-            rows.append(
-                NeighborRow(
-                    kdist=float(kdist),
-                    neighbors=neighbors,
-                    dists=[float(dist[i, t]) for t in neighbors],
-                )
-            )
-        return NeighborhoodTable(rows=rows, k=self.config.k)
+            neighbors = points[i, found].tolist()
+            table.append(NeighborRow(float(kd), neighbors, row[found].tolist()))
+        return NeighborhoodTable(rows=table, k=self.config.k)
 
     # ------------------------------------------------------------------
     # Step 2: densities in reversible fixed point
@@ -368,12 +348,14 @@ class QuantumLofPipeline:
         """Amplitude-estimated outlier factor per point: E * sin^2(alpha_hat).
 
         Ratios rho = [lrd-bar(i)]^-1 / [lrd-bar(t)]^-1 come from fixed-point
-        division and must not exceed the rotation ceiling E.
+        division and must not exceed the rotation ceiling E.  Every ratio is
+        checked before one :func:`amplitude_estimate` call estimates all
+        points, in point order.
         """
         cfg = self.config
-        lof_hat = np.empty(table.m)
+        rhos = []
         for i, row in enumerate(table.rows):
-            rhos = []
+            rhos.append([])
             for t in row.neighbors:
                 rho = q_div(inv_lrd[i], inv_lrd[t])
                 if rho.value > ratio_bound * (1.0 + 1e-12):
@@ -381,14 +363,14 @@ class QuantumLofPipeline:
                         f"density ratio {rho.value} for pair ({i}, {t}) exceeds "
                         f"the rotation ceiling {ratio_bound}"
                     )
-                rhos.append(rho.value)
-            est = amplitude_estimate(
-                self._rotation_probability(rhos, ratio_bound, "sqrt"),
-                cfg.ae_qubits_lof,
-                self._rngs[_STREAM_LOF],
-                repeats=cfg.ae_repeats,
-            )
-            lof_hat[i] = ratio_bound * est.a_hat
+                rhos[-1].append(rho.value)
+        est = amplitude_estimate(
+            [self._rotation_probability(r, ratio_bound, "sqrt") for r in rhos],
+            cfg.ae_qubits_lof,
+            self._rngs[_STREAM_LOF],
+            repeats=cfg.ae_repeats,
+        )
+        lof_hat = ratio_bound * est.a_hat
         # One amplitude estimation over the index superposition.
         self.ledger.charge(
             "step3.a_lof", cfg.ae_repeats * ae_queries(cfg.ae_qubits_lof, 1)

@@ -26,12 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-from .ledger import QueryLedger
 
 DEFAULT_CAPACITY = 16
 _NORM_TOL = 1e-10
@@ -142,15 +139,11 @@ def apply_oracle(
     f: Callable[..., int],
     in_regs: str | Sequence[str],
     out_reg: str,
-    ledger: QueryLedger | None = None,
-    charge: Mapping[str, int] = MappingProxyType({"oracle": 1}),
 ) -> StateVector:
     """Apply |in>|out> -> |in>|out XOR f(in)> as a permutation unitary.
 
     ``f`` receives one integer per input register and must return a value
-    fitting the output register for every point of the input domain.  A
-    ``ledger`` is charged ``charge`` once per application, regardless of
-    superposition width.
+    fitting the output register for every point of the input domain.
     """
     if isinstance(in_regs, str):
         in_regs = [in_regs]
@@ -185,8 +178,6 @@ def apply_oracle(
     new = np.empty_like(sv.amps)
     new[perm] = sv.amps
     sv.amps = new
-    if ledger is not None:
-        ledger.charge_many(charge)
     sv.check_norm()
     return sv
 
@@ -396,10 +387,3 @@ def ae_mixture(theta: float, t: int) -> np.ndarray:
     ys = np.arange(1 << t)
     probs = 0.5 * ae_distribution(theta, t, ys) + 0.5 * ae_distribution(-theta, t, ys)
     return probs / probs.sum()
-
-
-def theta_from_outcome(y: int, t: int) -> float:
-    """Fold a phase-register outcome into the estimated angle in [0, pi/2]."""
-    n = 1 << t
-    yf = min(int(y) % n, n - int(y) % n)
-    return math.pi * yf / n

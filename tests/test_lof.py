@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qlof.dataset import DegenerateDataError, from_points
+from qlof.dataset import DegenerateDataError, from_points, normalized_distance_matrix
 from qlof.lof import build_table, flag, lof_all
 
 TOY = [[0.0], [1.0], [2.0], [10.0]]  # three-point cluster plus one far outlier
@@ -77,6 +77,23 @@ def test_neighborhood_second_condition():
             strictly_inside = sum(1 for d in row.dists if d < row.kdist)
             assert row.count >= k
             assert strictly_inside <= k - 1
+
+
+def test_build_table_equals_the_per_point_loop():
+    # The reference: each point's k-th smallest distance to the others, and
+    # its members by one comparison per other point, in index order.  The
+    # integer grid makes duplicates and ties.
+    rng = np.random.default_rng(22)
+    for k in (1, 3, 5):
+        ds = from_points(rng.integers(0, 4, size=(30, 2)).astype(float))
+        dmat = normalized_distance_matrix(ds)
+        for i, row in enumerate(build_table(ds, k).rows):
+            d = dmat[i]
+            kd = float(np.sort(np.delete(d, i))[k - 1])
+            members = [t for t in range(ds.m) if t != i and d[t] <= kd]
+            assert (row.kdist, row.neighbors) == (kd, members)
+            assert row.dists == [float(d[t]) for t in members]
+            assert all(type(t) is int for t in row.neighbors)
 
 
 def test_reach_dist_cases():

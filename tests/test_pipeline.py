@@ -8,7 +8,7 @@ import pytest
 from qlof import dataset, lof
 from qlof.dataset import RunConfig, from_points
 from qlof.ledger import QueryLedger
-from qlof.lof import build_table
+from qlof.lof import build_table, off_diagonal
 from qlof.pipeline import QuantumLofPipeline, RatioBoundError
 from qlof.qsim import StateVector
 from qlof.synthetic import random_dataset
@@ -158,8 +158,9 @@ def test_count_neighbors_certain_when_all_within():
     # certain run after run.
     for s in range(20):
         pipe = QuantumLofPipeline(GRID3, cfg(k=2, seed=s))
-        kdist, _ = pipe.find_k_distance(0)
-        assert pipe.count_neighbors(0, kdist).count == 2
+        rows, _ = off_diagonal(pipe.distance_estimates())
+        kdist = np.array([pipe.find_k_distance(row)[0] for row in rows])
+        assert pipe.count_neighbors(rows, kdist).count.tolist() == [2, 2, 2]
 
 
 def test_estimate_distance_charges_per_point_pass():
@@ -173,22 +174,23 @@ def test_estimate_distance_charges_per_point_pass():
 
 def test_find_k_distance_matches_classical():
     pipe = QuantumLofPipeline(GRID3, cfg(k=1, seed=5))
-    kdist, seeds = pipe.find_k_distance(0)
+    kdist, seeds = pipe.find_k_distance(off_diagonal(pipe.distance_estimates())[0][0])
     assert abs(kdist - 0.5) <= pipe.config.eps_dist
     assert len(seeds) == 1
     # k = m-1: the largest estimated distance.
     pipe2 = QuantumLofPipeline(GRID3, cfg(k=2, seed=5))
-    kd2, _ = pipe2.find_k_distance(0)
+    kd2, _ = pipe2.find_k_distance(off_diagonal(pipe2.distance_estimates())[0][0])
     assert abs(kd2 - 1.0) <= pipe2.config.eps_dist
 
 
 def test_count_and_collect_consistency():
     pipe = QuantumLofPipeline(TOY, cfg(seed=9))
-    kdist, seeds = pipe.find_k_distance(3)
-    est = pipe.count_neighbors(3, kdist)
-    assert est.count == 2
-    neighbors, saturated = pipe.find_neighbors(3, kdist, expected=est.count, seed_found=seeds)
-    assert neighbors == [1, 2] and saturated
+    rows, points = off_diagonal(pipe.distance_estimates())
+    kdist, seeds = pipe.find_k_distance(rows[3])
+    est = pipe.count_neighbors(rows[3:], np.array([kdist]))
+    assert est.count.tolist() == [2]
+    found, saturated = pipe.find_neighbors(rows[3], kdist, expected=2, seed_found=seeds)
+    assert points[3, found].tolist() == [1, 2] and saturated
 
 
 def test_build_table_matches_classical_sets_under_margin():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qlof import primitives
 from qlof.ledger import QueryLedger
 from qlof.primitives import (
     ae_queries,
     amplitude_estimate,
     amplitude_estimate_via_qpe,
     counting_tolerance,
+    folded_median,
     grover_collect,
     grover_search,
     kth_smallest,
@@ -108,6 +110,46 @@ def test_ae_via_qpe_samples_an_exact_phase():
             est = amplitude_estimate_via_qpe(prep, ("q", 0), 3, rng)
             assert est.theta_hat == pytest.approx(theta, abs=1e-12)
             assert est.queries == ae_queries(3)
+
+
+def test_folded_median_folds_outcomes():
+    # Outcomes y and 2^t - y estimate the same angle pi*y/2^t in [0, pi/2].
+    assert folded_median(np.array([0]), 4) == 0
+    assert folded_median(np.array([8]), 4) == 8  # theta_hat = pi/2
+    assert folded_median(np.array([12]), 4) == folded_median(np.array([4]), 4) == 4
+    # The median of the folded repeats, row by row.
+    assert folded_median(np.array([[3, 13, 15], [0, 9, 8]]), 4).tolist() == [3, 7]
+
+
+@pytest.mark.parametrize("block", [1, 4, primitives._AE_BLOCK])
+def test_array_amplitude_estimate_equals_scalar_calls(block, monkeypatch):
+    # Entries take their repeats from the stream in flattened order, block
+    # by block, so an array call is one scalar call per entry on a twin
+    # generator, and leaves the generator where those calls leave it.
+    monkeypatch.setattr(primitives, "_AE_BLOCK", block)
+    a = np.random.default_rng(20).random((3, 5))
+    a[0, :2] = 0.0, 1.0
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    est = amplitude_estimate(a, 7, rng, repeats=3)
+    singles = [amplitude_estimate(x, 7, twin, repeats=3) for x in a.ravel().tolist()]
+    assert est.theta_hat.shape == est.a_hat.shape == a.shape
+    assert est.theta_hat.ravel().tolist() == [s.theta_hat for s in singles]
+    assert est.a_hat.ravel().tolist() == [s.a_hat for s in singles]
+    assert est.queries == singles[0].queries == ae_queries(7, 3)
+    assert all(type(s.theta_hat) is float and type(s.a_hat) is float for s in singles)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("t", [12, 14])
+def test_amplitude_estimate_squares_the_sine_in_python(t):
+    # Every grid angle pi*y/2^t is estimated exactly, and a_hat must be
+    # math.sin(theta_hat) ** 2 bit for bit: numpy's square of the sine
+    # rounds differently at a few of these angles.
+    n = 1 << t
+    y = np.arange(n // 2 + 1)
+    est = amplitude_estimate(np.sin(np.pi * y / n) ** 2, t, np.random.default_rng(22))
+    assert est.theta_hat.tolist() == (math.pi * y / n).tolist()
+    assert est.a_hat.tolist() == [math.sin(x) ** 2 for x in est.theta_hat.tolist()]
 
 
 def test_ae_input_validation():
@@ -268,6 +310,25 @@ def test_count_contract_generic():
             hits += abs(ce.raw - true_n) <= tol + 1e-12
         sigma = math.sqrt(0.81 * 0.19 / trials)
         assert hits / trials >= 8 / math.pi**2 - 3 * sigma
+
+
+def test_quantum_count_rows_equal_per_row_calls():
+    marked = np.random.default_rng(23).random((6, 9)) < 0.4
+    marked[0], marked[1] = False, True
+    rng, twin = np.random.default_rng(24), np.random.default_rng(24)
+    led, twin_led = QueryLedger(), QueryLedger()
+    ce = quantum_count(marked, 5, rng, repeats=3, ledger=led, charge={"cp": 1, "o_x": 4})
+    singles = [
+        quantum_count(row, 5, twin, repeats=3, ledger=twin_led, charge={"cp": 1, "o_x": 4})
+        for row in marked
+    ]
+    assert ce.count.tolist() == [s.count for s in singles]
+    assert ce.raw.tolist() == [s.raw for s in singles]
+    assert ce.count.tolist()[:2] == [0, 9]
+    assert ce.queries == singles[0].queries == 3 * 31
+    assert led.as_dict() == twin_led.as_dict() == {"cp": 6 * 93, "o_x": 24 * 93}
+    assert all(type(s.count) is int and type(s.raw) is float for s in singles)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_count_ledger_charges():

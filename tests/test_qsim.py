@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qlof.ledger import QueryLedger
 from qlof.qsim import (
     CapacityError,
     QsimError,
@@ -17,7 +16,6 @@ from qlof.qsim import (
     pe_kernel,
     phase_distribution,
     prepare_uniform,
-    theta_from_outcome,
 )
 
 
@@ -51,16 +49,14 @@ def test_apply_oracle_identity_and_not():
     assert np.allclose(sv.probabilities("y"), [0.0, 1.0])
 
 
-def test_apply_oracle_involution_and_ledger():
+def test_apply_oracle_involution():
     sv = StateVector([("x", 3), ("out", 2)])
     prepare_uniform(sv, "x", 8)
-    led = QueryLedger()
     before = sv.amps.copy()
-    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out", ledger=led, charge={"f": 1})
+    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out")
     assert not np.allclose(sv.amps, before)
-    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out", ledger=led, charge={"f": 1})
+    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out")
     assert np.allclose(sv.amps, before)  # XOR semantics: applying twice restores
-    assert led.get("f") == 2
     sv.check_norm()
 
 
@@ -243,9 +239,3 @@ def test_phase_estimate_capacity_guard():
     # auto falls back to the analytic path
     p = phase_distribution(u, psi, 16, method="auto")
     assert math.isclose(p[0], 1.0, abs_tol=1e-9)
-
-
-def test_theta_from_outcome_folding():
-    assert theta_from_outcome(0, 4) == 0.0
-    assert math.isclose(theta_from_outcome(8, 4), math.pi / 2)
-    assert math.isclose(theta_from_outcome(12, 4), theta_from_outcome(4, 4))

@@ -3,9 +3,10 @@
 ``ae_outcomes`` must sample the literal outcome law ``ae_mixture`` exactly:
 its outcome counts over evenly spaced uniforms must match the law to within
 rounding of the count, on and off the outcome grid, with and without draws
-in the tail beyond the window.  The chunked step-1 distance stage must equal
-a per-pair loop of scalar ``ae_outcomes`` calls on the stage's one stream,
-draw for draw, whatever the chunk size.
+in the tail beyond the window.  The step-1 distance stage must equal a
+per-pair loop of scalar ``ae_outcomes`` calls on the stage's one stream,
+draw for draw, whatever the estimator's block size; the counting and step-3
+stages must equal per-point loops of scalar calls on theirs.
 """
 
 import math
@@ -16,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from qlof import pipeline, primitives
+from qlof import primitives
 from qlof.dataset import RunConfig, normalized_distance_matrix
-from qlof.pipeline import _STREAM_DIST, QuantumLofPipeline
-from qlof.primitives import ae_outcomes, amplitude_estimate
-from qlof.qsim import ae_distribution, ae_mixture, pe_kernel, theta_from_outcome
+from qlof.fixedpoint import q_div
+from qlof.ledger import QueryLedger
+from qlof.pipeline import _STREAM_COUNT, _STREAM_DIST, _STREAM_LOF, QuantumLofPipeline
+from qlof.primitives import ae_outcomes, amplitude_estimate, quantum_count
+from qlof.qsim import ae_distribution, ae_mixture, pe_kernel
 from qlof.synthetic import gaussian_clusters, random_dataset
 
 MIDPOINTS = 1 << 18
@@ -200,23 +203,74 @@ def _reference_distances(pipe):
             else:
                 a = dmat[i, j] ** 2
             theta = math.asin(min(1.0, math.sqrt(max(a, 0.0))))
-            ys = ae_outcomes([theta], t, rng.random((1, cfg.ae_repeats)))[0]
-            thetas = sorted(theta_from_outcome(int(y), t) for y in ys)
+            ys = ae_outcomes([theta], t, rng.random((1, cfg.ae_repeats)))[0].tolist()
+            thetas = sorted(math.pi * min(y, (1 << t) - y) / (1 << t) for y in ys)
             ref[i, j] = ref[j, i] = math.sin(thetas[cfg.ae_repeats // 2])
     return ref
 
 
-@pytest.mark.parametrize(
+STAGE_CASES = pytest.mark.parametrize(
     "backend, make",
     [
         ("ledger", lambda: gaussian_clusters(40, 2, np.random.default_rng(5))),
         ("exact", lambda: random_dataset(12, 3, np.random.default_rng(6))),
     ],
 )
+
+
+@STAGE_CASES
 def test_distance_estimates_equal_the_per_pair_loop(backend, make):
     for seed in (1, 2):
         pipe = QuantumLofPipeline(make(), RunConfig(k=3, backend=backend, seed=seed))
         assert np.array_equal(pipe.distance_estimates(), _reference_distances(pipe))
+
+
+@STAGE_CASES
+def test_count_stage_equals_the_per_point_loop(backend, make):
+    # The reference counts each point's candidates, its distance row without
+    # its own entry, by one scalar call per point on the stage's stream.
+    for seed in (1, 2):
+        pipe = QuantumLofPipeline(make(), RunConfig(k=3, backend=backend, seed=seed))
+        cfg = pipe.config
+        others = [np.delete(row, i) for i, row in enumerate(pipe.distance_estimates())]
+        kdist = np.array([pipe.find_k_distance(row)[0] for row in others])
+        before = dict(pipe.ledger.counts)
+        est = pipe.count_neighbors(np.array(others), kdist)
+        charged = {k: v - before.get(k, 0) for k, v in pipe.ledger.counts.items()}
+        rng, ledger = pipe._rng(_STREAM_COUNT), QueryLedger()
+        ref = [
+            quantum_count(
+                row <= kd,
+                cfg.ae_qubits_count,
+                rng,
+                repeats=cfg.ae_repeats,
+                ledger=ledger,
+                charge=pipe._query_cost["step1.count_pred"],
+            )
+            for row, kd in zip(others, kdist)
+        ]
+        assert est.count.tolist() == [r.count for r in ref]
+        assert est.raw.tolist() == [r.raw for r in ref]
+        assert {k: v for k, v in charged.items() if v} == ledger.as_dict()
+
+
+@STAGE_CASES
+def test_lof_stage_equals_the_per_point_loop(backend, make):
+    for seed in (1, 2):
+        pipe = QuantumLofPipeline(make(), RunConfig(k=3, backend=backend, seed=seed))
+        cfg = pipe.config
+        table = pipe.build_neighborhood_table()
+        inv_lrd = pipe.compute_lrd_all(table)
+        bound = pipe.ratio_bound()
+        lof_hat = pipe.compute_lof_all(inv_lrd, table, bound)
+        rng = pipe._rng(_STREAM_LOF)
+        ref = []
+        for i, row in enumerate(table.rows):
+            rhos = [q_div(inv_lrd[i], inv_lrd[t]).value for t in row.neighbors]
+            a = pipe._rotation_probability(rhos, bound, "sqrt")
+            est = amplitude_estimate(a, cfg.ae_qubits_lof, rng, repeats=cfg.ae_repeats)
+            ref.append(bound * est.a_hat)
+        assert lof_hat.tolist() == ref
 
 
 def test_distance_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -224,7 +278,7 @@ def test_distance_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
     ds = gaussian_clusters(30, 2, np.random.default_rng(7))
     config = RunConfig(k=3, backend="ledger", ae_repeats=3, seed=4)
     mats = []
-    for chunk in (1, 7, 16, pipeline._DIST_CHUNK):
-        monkeypatch.setattr(pipeline, "_DIST_CHUNK", chunk)
+    for block in (1, 7, 16, primitives._AE_BLOCK):
+        monkeypatch.setattr(primitives, "_AE_BLOCK", block)
         mats.append(QuantumLofPipeline(ds, config).distance_estimates())
     assert all(np.array_equal(mats[0], mat) for mat in mats[1:])
