@@ -23,8 +23,8 @@ figures come from ``bench/run.py``; these isolate one primitive each:
   check that ends every neighborhood collection;
 * the ledger-backend layers behind a ``ledger-m256`` point: ``kth_smallest``
   at m = 255, k = 3, boost 1, ``quantum_count`` at t = 5 with 3 repeats
-  over one row and over the counting stage's 256 x 255 mask, and
-  ``grover_collect`` over a neighborhood that is already complete;
+  over one row and over the counting stage's 256 x 255 mask, and the
+  collection stage's one ``grover_collect`` call over a 256 x 255 mask;
 * step 2's fixed-point operations at the ``qlof scale`` format (20, 12):
   ``q_mul_add`` into the (40, 24) accumulator and the ``q_div`` of that sum
   by the neighbor count;
@@ -149,12 +149,20 @@ def test_quantum_count_rows_t5(benchmark):
     assert benchmark(quantum_count, marked, 5, rng, repeats=REPEATS).count.shape == (256,)
 
 
-def test_ledger_grover_collect_nothing_left(benchmark):
-    # Every marked index is already known: the one search confirms saturation.
-    marked = np.arange(255) < 4
-    rng = np.random.default_rng(9)
-    found, saturated = benchmark(grover_collect, marked, rng, expected=4, seed_found=range(4))
-    assert found == [0, 1, 2, 3] and saturated
+def test_ledger_grover_collect_rows_m256(benchmark):
+    # The collection stage of a ledger-m256 run: every point's neighborhood
+    # among the 255 others holds its 3 nearest, known from the k-distance
+    # search, and every fourth point has a 4th to find.  Most rows saturate
+    # on their first search.
+    values = np.random.default_rng(9).random((256, 255))
+    order = np.argsort(values, axis=1)
+    size = np.where(np.arange(256) % 4 == 0, 4, 3)
+    marked = values <= values[np.arange(256), order[np.arange(256), size - 1]][:, None]
+    rng = np.random.default_rng(10)
+    found, saturated = benchmark(
+        grover_collect, marked, rng, expected=size.tolist(), seed_found=order[:, :3].tolist()
+    )
+    assert [len(f) for f in found] == size.tolist() and all(saturated)
 
 
 def test_q_mul_add_scale_format(benchmark):

@@ -24,9 +24,13 @@ Random streams: each stochastic stage -- distances, k-distance, counting,
 collection, outlier factors, flagging -- draws from one generator of its own,
 keyed by (seed, stage).  Distances, counting and outlier factors are each
 one :func:`amplitude_estimate` call, ``ae_repeats`` uniforms per pair in
-upper-triangle row order or per point in point order; the search stages
-draw point by point.  So a stage's draws do not depend on how another stage
-uses its stream.
+upper-triangle row order or per point in point order.  The k-distance
+searches draw point by point.  Collection draws across points: each of its
+invocations is one search over every point still collecting, one block of
+uniforms per point in point order (:func:`grover_search`); flagging is one
+such search per invocation over the outlier factors.  The exact backend's
+statevector searches draw round by round, and it collects point by point.
+So a stage's draws do not depend on how another stage uses its stream.
 """
 
 from __future__ import annotations
@@ -240,18 +244,24 @@ class QuantumLofPipeline:
         )
 
     def find_neighbors(
-        self, row: np.ndarray, kdist: float, expected: int, seed_found: list[int]
-    ) -> tuple[list[int], bool]:
-        """Collect one search row's neighborhood by Grover search with
-        exclusion, starting from the row positions ``seed_found``.
+        self,
+        rows: np.ndarray,
+        kdist: np.ndarray,
+        expected: list[int],
+        seed_found: list[list[int]],
+    ) -> tuple[list[list[int]], list[bool]]:
+        """Collect every search row's neighborhood by Grover search with
+        exclusion, in one call, each row starting from its row positions
+        ``seed_found``.
 
-        Runs until a search confirms saturation; ``expected`` plus two
-        (and the configured shot budget) caps the invocations.  Returns
-        (sorted row positions, saturation confirmed).
+        A row runs until a search confirms saturation; its ``expected``
+        count plus two (and the configured shot budget) caps its
+        invocations.  Returns (sorted row positions, saturation confirmed)
+        per row; one 1-D row with a scalar k-distance is the one-row case.
         """
         cfg = self.config
         return grover_collect(
-            row <= kdist,
+            rows <= np.expand_dims(kdist, -1),
             self._rngs[_STREAM_COLLECT],
             ledger=self.ledger,
             exact=(cfg.backend == "exact"),
@@ -262,17 +272,21 @@ class QuantumLofPipeline:
         )
 
     def build_neighborhood_table(self) -> NeighborhoodTable:
-        """Step 1 end to end for every point: the k-distance searches, one
-        counting call over all search rows, then the collections."""
+        """Step 1 end to end for every point: the k-distance searches, then
+        one counting call and one collection call over all search rows."""
         eps1 = self.config.eps_dist
         rows, points = off_diagonal(self.distance_estimates())
         searched = [self.find_k_distance(row) for row in rows]
         kdist = np.array([kd for kd, _ in searched])
         counts = self.count_neighbors(rows, kdist).count.tolist()
+        collected, saturated = self.find_neighbors(
+            rows, kdist, expected=counts, seed_found=[seeds for _, seeds in searched]
+        )
         table = []
-        for i, (row, kd, (_, seeds), count) in enumerate(zip(rows, kdist, searched, counts)):
-            found, saturated = self.find_neighbors(row, kd, expected=count, seed_found=seeds)
-            if not saturated and len(found) < count:
+        for i, (row, kd, found, sat, count) in enumerate(
+            zip(rows, kdist, collected, saturated, counts)
+        ):
+            if not sat and len(found) < count:
                 self.warnings.append(
                     f"point {i}: neighbor collection hit the cap at "
                     f"{len(found)} of an estimated {count}"

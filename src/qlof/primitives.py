@@ -243,48 +243,103 @@ def _grover_outcome_exact(
     return int(rng.choice(dim, p=p / p.sum()))
 
 
+def _schedule(m: int) -> np.ndarray:
+    """Iteration caps ceil(B_j) of a search's rounds over a domain of size m.
+
+    B starts at 1 and grows by ``GROWTH`` each round that finds nothing until
+    it saturates at sqrt(m); ``EXTRA_ROUNDS`` more rounds follow.  Round j
+    runs r_j iterations, drawn uniformly from [0, ceil(B_j)).
+    """
+    sqrt_m = math.sqrt(m)
+    rounds = math.ceil(math.log(max(sqrt_m, 1.0)) / math.log(GROWTH)) + EXTRA_ROUNDS
+    caps, big_m = [], 1.0
+    for _ in range(rounds):
+        caps.append(math.ceil(big_m))
+        big_m = min(GROWTH * big_m, sqrt_m)
+    return np.array(caps)
+
+
+def _search_exact(marked: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+    """One search over one domain by statevector Grover iterations, round by
+    round.  Returns (found index or -1, queries)."""
+    queries = 0
+    for cap in _schedule(marked.size).tolist():
+        r = int(rng.integers(cap))
+        y = _grover_outcome_exact(marked, marked.size, r, rng)
+        queries += r + 1
+        if marked[y]:
+            return y, queries
+    return -1, queries
+
+
+def _search_block(marked: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One search per row of ``marked`` (closed form), every row one block.
+
+    With nothing found the schedule is fixed, so row i's search is one
+    (R, 2) block of uniforms (u, v): round j runs r_j = floor(u_j * ceil(B_j))
+    iterations and measures a marked index when v_j < sin^2((2 r_j + 1) theta),
+    sin^2(theta) = T/m.  The first such round ends the search; T = 0 never
+    hits and T = m hits in round 0, with no float test.  Then one uniform per
+    hit row, in row order, picks a marked index in index order.  Returns
+    (found index or -1, queries) per row; a row's queries are the sum of
+    r_j + 1 up to its hit, or over the whole schedule.
+    """
+    n, m = marked.shape
+    caps = _schedule(m)
+    u = rng.random((n, caps.size, 2))
+    r = np.floor(u[..., 0] * caps).astype(np.int64)
+    tcount = np.count_nonzero(marked, axis=1)
+    hit = np.zeros(r.shape, dtype=bool)
+    hit[tcount == m, 0] = True
+    part = np.flatnonzero((tcount > 0) & (tcount < m))
+    theta = np.arcsin(np.sqrt(tcount[part] / m))
+    hit[part] = u[part, :, 1] < np.sin((2 * r[part] + 1) * theta[:, None]) ** 2
+    found = hit.any(axis=1)
+    last = np.where(found, hit.argmax(axis=1), caps.size - 1)
+    queries = np.cumsum(r + 1, axis=1)[np.arange(n), last]
+    y = np.full(n, -1, dtype=np.int64)
+    rows = np.flatnonzero(found)
+    pick = np.floor(rng.random(rows.size) * tcount[rows]).astype(np.int64)
+    y[rows] = (np.cumsum(marked[rows], axis=1) > pick[:, None]).argmax(axis=1)
+    return y, queries
+
+
 def grover_search(
     marked: np.ndarray,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
     exact: bool = False,
     charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
-) -> int | None:
+) -> int | None | np.ndarray:
     """Find one marked index with the number of marked indices unknown.
 
     Returns a uniformly random solution (probability >= 1/2 per schedule pass,
     in practice far higher), or None once the schedule has saturated at
     sqrt(m) and ``EXTRA_ROUNDS`` more rounds produced nothing -- the T = 0
     escape.  Each round of r iterations makes r predicate queries plus one
-    verification query.
+    verification query.  A 2-D ``marked`` holds one domain per row; the
+    result is then an array of one index per row, -1 where nothing was
+    found, and a 1-D call is the one-row case.  The ledger backend samples
+    each row as one block (:func:`_search_block`); the exact backend runs
+    statevector rounds row by row.  The ledger is charged once, with the
+    queries of every row.
     """
     marked = np.asarray(marked, dtype=bool)
-    m = marked.size
-    if m < 1:
+    if marked.ndim not in (1, 2):
+        raise ValueError("marked must be one domain or a 2-D array of domains")
+    if marked.shape[-1] < 1:
         raise ValueError("domain must contain at least one element")
-    order = np.argsort(~marked, kind="stable")
-    tcount = int(np.count_nonzero(marked))
-
-    found = None
-    queries = 0
-    big_m = 1.0
-    sqrt_m = math.sqrt(m)
-    # Rounds until the schedule saturates at sqrt(m), plus a safety tail.
-    max_rounds = math.ceil(math.log(max(sqrt_m, 1.0)) / math.log(GROWTH)) + EXTRA_ROUNDS
-    for _ in range(max_rounds):
-        r = int(rng.integers(math.ceil(big_m)))
-        if exact:
-            y = _grover_outcome_exact(marked, m, r, rng)
-        else:
-            y = _grover_outcome_law(order, tcount, r, rng)
-        queries += r + 1
-        if marked[y]:
-            found = y
-            break
-        big_m = min(GROWTH * big_m, sqrt_m)
+    rows = marked.reshape(-1, marked.shape[-1])
+    if exact:
+        out = np.array([_search_exact(row, rng) for row in rows], dtype=np.int64)
+        y, queries = out.reshape(-1, 2).T
+    else:
+        y, queries = _search_block(rows, rng)
     if ledger is not None:
-        ledger.charge_many(charge, queries)
-    return found
+        ledger.charge_many(charge, int(queries.sum()))
+    if marked.ndim == 2:
+        return y
+    return int(y[0]) if y[0] >= 0 else None
 
 
 def grover_collect(
@@ -292,35 +347,55 @@ def grover_collect(
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
     exact: bool = False,
-    expected: int | None = None,
-    seed_found: Sequence[int] | None = None,
+    expected: int | Sequence[int] | None = None,
+    seed_found: Sequence[int] | Sequence[Sequence[int]] | None = None,
     max_invocations: int | None = None,
     charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
-) -> tuple[list[int], bool]:
+) -> tuple[list[int], bool] | tuple[list[list[int]], list[bool]]:
     """Collect all marked indices by repeated search with exclusion.
 
     Stops when a search confirms saturation (returns None) or when the
     invocation cap, ``expected`` plus two (the domain size plus two when
     ``expected`` is None), is reached.  Returns (sorted solutions, saturated).
     ``seed_found`` pre-populates with solutions already known classically.
+
+    A 2-D ``marked`` holds one domain per row, ``expected`` and
+    ``seed_found`` one entry per row; the result is then one list of
+    solutions and one saturation flag per row.  The rows collect in
+    lockstep: each invocation is one :func:`grover_search` call over the
+    rows still collecting.  The exact backend collects row by row instead,
+    each row to its end before the next, so its draws follow the per-row
+    loop.
     """
     marked = np.asarray(marked, dtype=bool)
-    found = np.zeros(marked.size, dtype=bool)
-    if seed_found:
-        found[list(seed_found)] = True
-    cap = max(expected + 2, 1) if expected is not None else marked.size + 2
+    rows = marked.reshape(-1, marked.shape[-1])
+    n, m = rows.shape
+    found = np.zeros_like(rows)
+    if seed_found is not None:
+        for i, seeds in enumerate([seed_found] if marked.ndim == 1 else seed_found):
+            found[i, list(seeds)] = True
+    cap = np.full(n, m + 2) if expected is None else np.maximum(np.asarray(expected) + 2, 1)
+    cap = np.broadcast_to(cap, n)
     if max_invocations is not None:
-        cap = min(cap, max_invocations)
-    saturated = False
-    for _ in range(cap):
-        y = grover_search(
-            marked & ~found, rng, ledger=ledger, exact=exact, charge=charge
-        )
-        if y is None:
-            saturated = True
-            break
-        found[y] = True
-    return np.flatnonzero(found).tolist(), saturated
+        cap = np.minimum(cap, max_invocations)
+    saturated = np.zeros(n, dtype=bool)
+    for group in np.arange(n).reshape(-1, 1) if exact else [np.arange(n)]:
+        active = group
+        for inv in range(int(cap[group].max(initial=0))):
+            active = active[cap[active] > inv]
+            if active.size == 0:
+                break
+            y = grover_search(
+                rows[active] & ~found[active], rng, ledger=ledger, exact=exact, charge=charge
+            )
+            hit = y >= 0
+            found[active[hit], y[hit]] = True
+            saturated[active[~hit]] = True
+            active = active[hit]
+    solutions = [np.flatnonzero(row).tolist() for row in found]
+    if marked.ndim == 1:
+        return solutions[0], bool(saturated[0])
+    return solutions, saturated.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,31 @@ def test_calibrate_ae(tmp_path):
     assert len(lines) == 1 + 2 + 5
 
 
+def test_calibrate_equals_the_per_trial_loop(tmp_path):
+    # One array estimate per amplitude draws what one scalar estimate per
+    # trial drew, so the sweep writes the same file.
+    import math
+
+    import numpy as np
+
+    from qlof.primitives import amplitude_estimate
+
+    assert main(
+        ["calibrate-ae", "--t-list", "1,4,12", "--amplitudes", "3", "--trials", "9",
+         "--seed", "5", "--out", str(tmp_path)]
+    ) == EXIT_OK
+    lines = ["a_true,t,fraction_within_bound"]
+    for t in (1, 4, 12):
+        rng = np.random.default_rng(np.random.SeedSequence([5, t]))
+        for a in [0.0, 1.0] + [float(a) for a in rng.random(3)]:
+            hits = 0
+            for _ in range(9):
+                est = amplitude_estimate(a, t, rng, repeats=1)
+                hits += abs(est.theta_hat - math.asin(math.sqrt(a))) <= math.pi / (1 << t) + 1e-15
+            lines.append(f"{a!r},{t},{hits / 9!r}")
+    assert (tmp_path / "calibrate.csv").read_text() == "\n".join(lines) + "\n"
+
+
 def test_calibrate_deterministic(tmp_path):
     blobs = []
     for name in ("u", "v"):

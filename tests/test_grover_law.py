@@ -1,8 +1,11 @@
 """The closed-form Grover measurement law and the statevector backend.
 
-``_grover_outcome_law`` serves both Grover search and the Durr-Hoyer
-threshold descent.  It must draw exactly what the two copies it replaced drew,
-and the exact backend's statevector iterations must sample the same law.
+``_grover_outcome_law`` serves the Durr-Hoyer threshold descent and is the
+per-round reference of the ledger search.  It must draw exactly what the two
+copies it replaced drew, and the exact backend's statevector iterations must
+sample the same law.  The ledger backend samples a whole search as one block
+of uniforms; its first-hit round and query totals must follow the law of the
+per-round loop.
 """
 
 import math
@@ -10,9 +13,17 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
-from qlof.primitives import _grover_outcome_exact, _grover_outcome_law
+from qlof.ledger import QueryLedger
+from qlof.primitives import (
+    EXTRA_ROUNDS,
+    GROWTH,
+    _grover_outcome_exact,
+    _grover_outcome_law,
+    grover_collect,
+    grover_search,
+)
 
 
 def search_law(marked, m, r, rng):
@@ -112,3 +123,140 @@ def test_exact_and_closed_form_backends_sample_the_same_law():
                     obs, exp = _pooled(hist, n_draws * law)
                     if obs.size > 1:
                         assert chisquare(obs, exp).pvalue > 1e-3, (m, tcount, r, hist)
+
+
+# ---------------------------------------------------------------------------
+# The block-sampled search against the per-round loop
+# ---------------------------------------------------------------------------
+
+
+def schedule_caps(m):
+    """ceil(B) of every round of the unknown-T schedule, as the per-round
+    loop grows it."""
+    sqrt_m = math.sqrt(m)
+    caps, big_m = [], 1.0
+    for _ in range(math.ceil(math.log(max(sqrt_m, 1.0)) / math.log(GROWTH)) + EXTRA_ROUNDS):
+        caps.append(math.ceil(big_m))
+        big_m = min(GROWTH * big_m, sqrt_m)
+    return np.array(caps)
+
+
+def per_round_search(marked, rng):
+    """The search as a loop of rounds, one closed-form measurement each.
+    Returns (first-hit round or -1, queries)."""
+    order = np.argsort(~marked, kind="stable")
+    tcount = int(np.count_nonzero(marked))
+    queries = 0
+    for j, cap in enumerate(schedule_caps(marked.size).tolist()):
+        r = int(rng.integers(cap))
+        y = _grover_outcome_law(order, tcount, r, rng)
+        queries += r + 1
+        if marked[y]:
+            return j, queries
+    return -1, queries
+
+
+def block_search(marked, seed):
+    """One ledger search on a fresh generator.  Returns (first-hit round or
+    -1, queries); the round is read off the block's iteration draws, replayed
+    on a twin generator: the running query sum reaches the charged total
+    exactly at the last round run."""
+    led = QueryLedger()
+    y = grover_search(marked, np.random.default_rng(seed), ledger=led)
+    queries = led.get("pred")
+    caps = schedule_caps(marked.size)
+    u = np.random.default_rng(seed).random((caps.size, 2))
+    spent = np.cumsum(np.floor(u[:, 0] * caps) + 1)
+    last = int(np.searchsorted(spent, queries))
+    assert spent[last] == queries
+    assert y is None or marked[y]
+    if y is None:
+        assert last == caps.size - 1
+        return -1, queries
+    return last, queries
+
+
+def _same_law(a, b, floor=10):
+    """Chi-square test of two samples of one discrete variable: categories
+    with fewer than ``floor`` draws in both samples together are pooled."""
+    values, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    table = np.zeros((2, values.size))
+    np.add.at(table, (np.repeat([0, 1], [len(a), len(b)]), inverse), 1)
+    keep = table.sum(axis=0) >= floor
+    table = np.column_stack([table[:, keep], table[:, ~keep].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] < 2:
+        return 1.0
+    return chi2_contingency(table).pvalue
+
+
+def test_block_search_samples_the_per_round_law():
+    n_draws = 1500
+    for m, tcount in ((4, 1), (16, 1), (64, 3), (255, 2), (255, 0), (40, 37)):
+        marked = np.random.default_rng([m, tcount]).permutation(m) < tcount
+        rng = np.random.default_rng([m, tcount, 1])
+        loop = np.array([per_round_search(marked, rng) for _ in range(n_draws)])
+        block = np.array([block_search(marked, [m, tcount, 2, s]) for s in range(n_draws)])
+        for col, what in ((0, "first-hit round"), (1, "queries")):
+            if col == 1:
+                # Queries take many values: compare them in quantile bins.
+                edges = np.unique(np.quantile(loop[:, 1], np.linspace(0, 1, 11)[1:-1]))
+                a, b = np.searchsorted(edges, loop[:, 1]), np.searchsorted(edges, block[:, 1])
+            else:
+                a, b = loop[:, 0], block[:, 0]
+            assert _same_law(a, b) > 1e-3, (m, tcount, what)
+
+
+@st.composite
+def masks_with_seeds(draw):
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 4))
+    marked = np.array(draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                    min_size=n, max_size=n)))
+    seeds = [[i for i in np.flatnonzero(row) if draw(st.booleans())] for row in marked]
+    return marked, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=masks_with_seeds(), seed=st.integers(0, 2**32 - 1))
+def test_collect_finds_only_marked_and_keeps_its_seeds(case, seed):
+    marked, seeds = case
+    found, saturated = grover_collect(marked, np.random.default_rng(seed), seed_found=seeds)
+    assert len(found) == len(saturated) == marked.shape[0]
+    for row, got, known in zip(marked, found, seeds):
+        assert set(known) <= set(got) <= set(np.flatnonzero(row))
+        assert got == sorted(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=masks_with_seeds(), seed=st.integers(0, 2**32 - 1))
+def test_row_with_nothing_left_saturates_on_the_full_schedule(case, seed):
+    marked, _ = case
+    everything = [np.flatnonzero(row).tolist() for row in marked]
+    led = QueryLedger()
+    found, saturated = grover_collect(
+        marked, np.random.default_rng(seed), ledger=led, seed_found=everything
+    )
+    assert found == everything and all(saturated)
+    # One search per row, one block (R, 2) per row, every round run.
+    caps = schedule_caps(marked.shape[1])
+    u = np.random.default_rng(seed).random((marked.shape[0], caps.size, 2))
+    assert led.get("pred") == int((np.floor(u[..., 0] * caps) + 1).sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=masks_with_seeds(), seed=st.integers(0, 2**32 - 1))
+def test_one_dimensional_call_is_the_one_row_case(case, seed):
+    row, known = case[0][0], case[1][0]
+    rngs = [np.random.default_rng(seed) for _ in range(4)]
+    leds = [QueryLedger() for _ in range(4)]
+    y = grover_search(row, rngs[0], ledger=leds[0])
+    (y2,) = grover_search(row[None], rngs[1], ledger=leds[1])
+    assert (y if y is not None else -1) == y2
+    got = grover_collect(row, rngs[2], ledger=leds[2], expected=len(known), seed_found=known)
+    (found,), (sat,) = grover_collect(
+        row[None], rngs[3], ledger=leds[3], expected=[len(known)], seed_found=[known]
+    )
+    assert got == (found, sat)
+    assert leds[0].as_dict() == leds[1].as_dict() and leds[2].as_dict() == leds[3].as_dict()
+    assert rngs[0].random() == rngs[1].random() and rngs[2].random() == rngs[3].random()

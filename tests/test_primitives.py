@@ -221,6 +221,26 @@ def test_grover_collect_with_exclusion_and_seed():
     assert found2 == [2, 5, 11]
 
 
+def test_exact_collect_over_rows_equals_per_row_calls():
+    # The exact backend collects row by row, so the 2-D call draws what one
+    # call per row draws on the same stream.
+    marked = np.random.default_rng(11).random((4, 10)) < [[0.0], [0.2], [0.4], [1.0]]
+    expected = [0, 1, 5, 10]
+    seeds = [[], [], np.flatnonzero(marked[2])[:1].tolist(), [3]]
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    led, twin_led = QueryLedger(), QueryLedger()
+    found, saturated = grover_collect(
+        marked, rng, ledger=led, exact=True, expected=expected, seed_found=seeds
+    )
+    per_row = [
+        grover_collect(row, twin, ledger=twin_led, exact=True, expected=e, seed_found=s)
+        for row, e, s in zip(marked, expected, seeds)
+    ]
+    assert found == [f for f, _ in per_row] and saturated == [s for _, s in per_row]
+    assert led.as_dict() == twin_led.as_dict()
+    assert rng.random() == twin.random()
+
+
 # ---------------------------------------------------------------------------
 # Minimum finding
 # ---------------------------------------------------------------------------
