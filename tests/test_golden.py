@@ -14,12 +14,17 @@ command (``argv.txt``) and the files it wrote:
 
 The files follow the random-number layout of ``qlof.pipeline``: one
 generator per stage, keyed by (seed, stage), with step 1's pairs drawn in
-upper-triangle row order, and the map from uniforms to outcomes of
+upper-triangle row order; the map from uniforms to outcomes of
 ``primitives.ae_outcomes``, the Fejer-window sampler (one uniform per
 draw: its half picks the +-theta kernel, the rest inverts that kernel over
-a window around its peak or, past the window, over the tail).  A deliberate
-change of either regenerates these files, in a change of their own that
-lists them.
+a window around its peak or, past the window, over the tail); and, on the
+ledger backend, the block-sampled Grover search of
+``primitives.grover_search`` (one (R, 2) block of uniforms per search,
+then one uniform per hit), with collection drawing every point still
+collecting in point order, invocation by invocation.  The exact backend's
+searches draw round by round, point by point, so ``exact-m12`` does not
+depend on that block layout.  A deliberate change of any of these
+regenerates the files it moves, in a change of their own that lists them.
 """
 
 from pathlib import Path
