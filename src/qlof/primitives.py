@@ -5,8 +5,10 @@ Four primitives drive the pipeline:
 * :func:`amplitude_estimate` -- phase estimation on a Grover operator; samples
   from the exact outcome law of the prepared amplitude and guarantees
   |theta - theta_hat| <= pi/2^t with probability >= 8/pi^2.
-* :func:`grover_search` -- search with an unknown number of solutions via the
-  exponentially growing iteration schedule (Boyer-Brassard-Hoyer-Tapp).
+* :func:`grover_search` / :func:`grover_collect` -- search with an unknown
+  number of solutions via the exponentially growing iteration schedule
+  (Boyer-Brassard-Hoyer-Tapp), and collection of every solution by repeated
+  search with exclusion.
 * :func:`quantum_min` / :func:`kth_smallest` -- Durr-Hoyer minimum finding
   under a fixed 22.5*sqrt(m) query budget, and k successive minimum searches
   with exclusion for the k-th order statistic.
@@ -24,15 +26,21 @@ and samples its phase-estimation distribution.
 
 The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
-the domain size m is the array's size.  A primitive given a ``ledger``
-charges it once per call: every counter of ``charge`` times the call's
-total number of oracle queries.
+the domain size m is the array's size.  Search, collection and counting
+also take a 2-D mask, one domain per row, and a 1-D mask is the one-row
+case.  A primitive given a ``ledger`` charges it once per call: every
+counter of ``charge`` times the call's total number of oracle queries.
 
 The exact backend runs real statevector Grover iterations; the ledger backend
 samples outcomes from the identical closed-form success law while charging the
-same oracle queries.  Simulation bookkeeping (evaluating the predicate to learn
-the ground truth) is never charged; only queries made by the algorithm's
-control flow are.
+same oracle queries.  A ledger search is sampled whole: with nothing found
+its schedule is fixed, so one block of uniforms per row decides every
+round (:func:`_search_block`), and collection searches all its rows in
+lockstep, one call per invocation.  Durr-Hoyer minimum finding draws its
+measurements round by round (:func:`_grover_outcome_law`), because its
+schedule restarts at each improvement.  Simulation bookkeeping (evaluating
+the predicate to learn the ground truth) is never charged; only queries
+made by the algorithm's control flow are.
 """
 
 from __future__ import annotations
@@ -354,7 +362,7 @@ def grover_collect(
 ) -> tuple[list[int], bool] | tuple[list[list[int]], list[bool]]:
     """Collect all marked indices by repeated search with exclusion.
 
-    Stops when a search confirms saturation (returns None) or when the
+    Stops when a search confirms saturation (finds nothing) or when the
     invocation cap, ``expected`` plus two (the domain size plus two when
     ``expected`` is None), is reached.  Returns (sorted solutions, saturated).
     ``seed_found`` pre-populates with solutions already known classically.
@@ -374,7 +382,7 @@ def grover_collect(
     if seed_found is not None:
         for i, seeds in enumerate([seed_found] if marked.ndim == 1 else seed_found):
             found[i, list(seeds)] = True
-    cap = np.full(n, m + 2) if expected is None else np.maximum(np.asarray(expected) + 2, 1)
+    cap = m + 2 if expected is None else np.maximum(np.asarray(expected) + 2, 1)
     cap = np.broadcast_to(cap, n)
     if max_invocations is not None:
         cap = np.minimum(cap, max_invocations)
