@@ -11,8 +11,9 @@ calibrate-ae  amplitude-estimation confidence sweep
 Exit codes: 0 ok, 1 contract violation (flag sets differ outside the error
 margin), 2 configuration error, 3 I/O or parse error, 4 degenerate data,
 5 simulator capacity exceeded, 6 near-threshold mismatch (tolerated),
-7 fixed-point overflow, 8 density ratio above the rotation ceiling,
-9 internal simulator error (any other simulator or fixed-point failure).
+7 fixed-point overflow, 8 density ratio above the rotation ceiling (its
+maximum search missed), 9 internal simulator error (any other simulator or
+fixed-point failure).
 
 Every run is deterministic under (--seed, config): repeated invocations emit
 byte-identical artifacts.  Output files are written atomically
@@ -347,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fixed-point overflow: {exc}; raise --fp-width", file=sys.stderr)
         return EXIT_OVERFLOW
     except RatioBoundError as exc:
-        print(f"{exc}; raise --ratio-safety or --ae-qubits-dist", file=sys.stderr)
+        print(f"{exc}: the maximum search missed it; raise --min-boost", file=sys.stderr)
         return EXIT_RATIO_BOUND
     except (QsimError, FixedPointError) as exc:  # after their subclasses above
         print(f"internal simulator error: {type(exc).__name__}: {exc}", file=sys.stderr)

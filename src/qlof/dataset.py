@@ -111,10 +111,23 @@ def load_csv(path: str) -> Dataset:
     return from_points(np.array(rows, dtype=float))
 
 
-def raw_distance_matrix(ds: Dataset) -> np.ndarray:
-    """All pairwise Euclidean distances; diagonal 0."""
-    diff = ds.points[:, None, :] - ds.points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+# Difference entries per row block of ``raw_distance_matrix`` (2 MB).
+_DIST_BLOCK = 1 << 18
+
+
+def raw_distance_matrix(ds: Dataset | np.ndarray) -> np.ndarray:
+    """All pairwise Euclidean distances of a dataset or an (m, n) point matrix;
+    diagonal 0.  Row blocks bound the temporaries; each entry sums the same
+    squares as one (m, m, n) difference would, so the bytes are the same."""
+    pts = ds.points if isinstance(ds, Dataset) else np.asarray(ds, dtype=float)
+    m, n = pts.shape
+    out = np.empty((m, m))
+    step = max(1, _DIST_BLOCK // (m * n))
+    for lo in range(0, m, step):
+        diff = pts[lo : lo + step, None, :] - pts[None, :, :]
+        diff *= diff
+        out[lo : lo + step] = np.sqrt(np.sum(diff, axis=2))
+    return out
 
 
 def normalized_distance_matrix(ds: Dataset) -> np.ndarray:
@@ -150,13 +163,12 @@ class RunConfig:
     shots: int = 64
     seed: int = 0
     min_boost: int = 5
-    ratio_safety: float = 2.0
     budget_multiplier: float = 22.5
 
     def validate(self, m: int) -> None:
         if not 1 <= self.k <= m - 1:
             raise ConfigError(f"k={self.k} outside [1, m-1={m - 1}]")
-        for name in ("delta", "ratio_safety", "budget_multiplier"):
+        for name in ("delta", "budget_multiplier"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.delta <= 0:
@@ -174,8 +186,6 @@ class RunConfig:
             raise ConfigError("shots must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.ratio_safety < 1.0:
-            raise ConfigError("ratio_safety must be >= 1")
         if self.min_boost < 1:
             raise ConfigError("min_boost must be >= 1")
         if self.budget_multiplier <= 0:

@@ -63,10 +63,8 @@ class LofReport:
     """Outlier factors and flags for a whole dataset.
 
     ``kdist`` and ``lrd`` are in normalized distance units; ``lof`` is
-    unit-free.  ``max_density_ratio`` is the largest lrd(t)/lrd(i) over
-    points i and their neighbors t (the rotation ceiling before its safety
-    factor); ``dist_floor_sq`` is the largest P such that at least half of
-    every point's neighbor distances are >= sqrt(P).
+    unit-free.  ``dist_floor_sq`` is the largest P such that at least half
+    of every point's neighbor distances are >= sqrt(P).
     """
 
     k: int
@@ -76,7 +74,6 @@ class LofReport:
     lrd: np.ndarray
     lof: np.ndarray
     flagged: np.ndarray
-    max_density_ratio: float
     dist_floor_sq: float
 
     @property
@@ -135,9 +132,9 @@ def build_table(ds: Dataset, k: int, dmat: np.ndarray | None = None) -> Neighbor
     return NeighborhoodTable(rows=rows, k=k)
 
 
-def _densities(table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray, float]:
-    """Local reachability density and outlier factor of every point, and the
-    largest neighbor-to-point density ratio; rejects zero mean reachability.
+def _densities(table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray]:
+    """Local reachability density and outlier factor of every point; rejects
+    zero mean reachability.
 
     Sums run in sorted-value order so the result is bitwise independent of
     point numbering (exact permutation equivariance).
@@ -154,12 +151,9 @@ def _densities(table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray, float]
             )
         lrd[i] = 1.0 / mean
     lof = np.empty(table.m)
-    max_ratio = 0.0
     for i, row in enumerate(table.rows):
-        ratios = sorted(lrd[t] / lrd[i] for t in row.neighbors)
-        lof[i] = sum(ratios) / row.count
-        max_ratio = max(max_ratio, float(ratios[-1]))
-    return lrd, lof, max_ratio
+        lof[i] = sum(sorted(lrd[t] / lrd[i] for t in row.neighbors)) / row.count
+    return lrd, lof
 
 
 def lof_all(ds: Dataset, k: int) -> np.ndarray:
@@ -174,7 +168,7 @@ def flag(ds: Dataset, k: int, delta: float, dmat: np.ndarray | None = None) -> L
     if delta <= 0:
         raise ValueError("delta must be positive")
     table = build_table(ds, k, dmat)
-    dens, lofs, max_ratio = _densities(table)
+    dens, lofs = _densities(table)
     floor = min(sorted(r.dists, reverse=True)[math.ceil(r.count / 2) - 1] for r in table.rows)
     return LofReport(
         k=k,
@@ -184,6 +178,5 @@ def flag(ds: Dataset, k: int, delta: float, dmat: np.ndarray | None = None) -> L
         lrd=dens,
         lof=lofs,
         flagged=lofs >= delta,
-        max_density_ratio=max_ratio,
         dist_floor_sq=float(floor) ** 2,
     )

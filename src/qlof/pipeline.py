@@ -4,9 +4,10 @@ Step 1 estimates all pairwise normalized distances by amplitude estimation,
 finds each point's k-distance by Durr-Hoyer minimum search, counts and then
 collects the k-distance neighborhood by quantum counting and Grover search.
 Step 2 computes inverse local reachability densities entirely in reversible
-fixed-point arithmetic (max / multiply-accumulate / divide).  Step 3 turns
-density ratios into rotation amplitudes, amplitude-estimates each point's
-outlier factor, and Grover-searches the flagged indices.
+fixed-point arithmetic (max / multiply-accumulate / divide).  Step 3 finds
+the largest density ratio E by Durr-Hoyer maximum search, turns the ratios
+over E into rotation amplitudes, amplitude-estimates each point's outlier
+factor, and Grover-searches the flagged indices.
 
 Backends: "exact" prepares real statevectors for every rotation and runs
 statevector Grover iterations; "ledger" computes the same amplitudes
@@ -21,11 +22,12 @@ query the frozen values.  This models the deterministic register content the
 coherent circuit would carry and keeps all threshold predicates consistent.
 
 Random streams: each stochastic stage -- distances, k-distance, counting,
-collection, outlier factors, flagging -- draws from one generator of its own,
-keyed by (seed, stage).  Distances, counting and outlier factors are each
-one :func:`amplitude_estimate` call, ``ae_repeats`` uniforms per pair in
-upper-triangle row order or per point in point order.  The k-distance
-searches draw point by point.  Collection draws across points: each of its
+collection, outlier factors, flagging, ratio maximum -- draws from one
+generator of its own, keyed by (seed, stage).  Distances, counting and
+outlier factors are each one :func:`amplitude_estimate` call,
+``ae_repeats`` uniforms per pair in upper-triangle row order or per point in
+point order.  The k-distance searches draw point by point; the ratio maximum
+is one :func:`quantum_min` call.  Collection draws across points: each of its
 invocations is one search over every point still collecting, one block of
 uniforms per point in point order (:func:`grover_search`); flagging is one
 such search per invocation over the outlier factors.  The exact backend's
@@ -57,12 +59,13 @@ from .primitives import (
     grover_collect,
     kth_smallest,
     quantum_count,
+    quantum_min,
 )
 from .qsim import StateVector, controlled_value_rotation, prepare_uniform
 
 
 class RatioBoundError(Exception):
-    """A density ratio exceeded the rotation ceiling E."""
+    """A density ratio exceeded the rotation ceiling E: its search missed."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,9 @@ class ErrorBudget:
     ratio_bound is the ceiling E applied in the step-3 rotation, eps_* are the
     amplitude-estimation angle errors pi/2^t, and dist_floor_sq is the largest
     P such that at least half of every point's neighbor distances are at least
-    sqrt(P) -- measured on the dataset, not assumed.  eps_count bounds only the
-    neighbor-count estimate and does not enter the chain.
+    sqrt(P) -- measured on the dataset, not assumed.  E is the largest of the
+    run's own fixed-point density ratios (:meth:`QuantumLofPipeline.ratio_ceiling`).
+    eps_count bounds only the neighbor-count estimate and does not enter the chain.
     """
 
     eps_dist: float
@@ -87,15 +91,7 @@ class ErrorBudget:
 
     def as_dict(self) -> dict:
         finite = math.isfinite(self.total_bound)
-        return {
-            "eps_dist": self.eps_dist,
-            "eps_count": self.eps_count,
-            "eps_lof": self.eps_lof,
-            "ratio_bound": self.ratio_bound,
-            "dist_floor_sq": self.dist_floor_sq,
-            "total_bound": self.total_bound if finite else None,
-            "vacuous": self.vacuous,
-        }
+        return {**asdict(self), "total_bound": self.total_bound if finite else None}
 
 
 # Stream tags: every stochastic stage draws from one generator of its own.
@@ -105,7 +101,8 @@ _STREAM_COUNT = 2
 _STREAM_COLLECT = 3
 _STREAM_LOF = 4
 _STREAM_FLAG = 5
-_STREAMS = range(6)
+_STREAM_MAX_RATIO = 6
+_STREAMS = range(7)
 
 
 class QuantumLofPipeline:
@@ -127,7 +124,7 @@ class QuantumLofPipeline:
         self._rngs = [self._rng(stream) for stream in _STREAMS]
         # The normalized distances and the classical reference, computed once:
         # the ledger backend's step-1 amplitudes, the comparison target and
-        # the source of the ratio ceiling and the distance floor.
+        # the source of the error budget's distance floor.
         self._dmat = normalized_distance_matrix(ds)
         self._classical = classical_flag(ds, config.k, config.delta, self._dmat)
         # Per coherent invocation of the step-1 distance estimator: one
@@ -327,9 +324,12 @@ class QuantumLofPipeline:
                 acc = q_mul_add(reach, one, acc)
             inv = q_div(acc, encode(float(row.count), 2 * w, 2 * f), width=w, frac=f)
             if inv.bits == 0:
+                # The classical side accepted the data, so the estimates rounded
+                # the k-distance to zero: a nonzero one, >= sin(pi/2^t_dist), is
+                # several units of any fp_frac >= t_dist, so fp_frac cannot help.
                 raise DegenerateDataError(
-                    f"point {i}: mean reachability distance rounds to zero; "
-                    "density is undefined at this precision"
+                    f"point {i}: the distance estimates round its k-distance to "
+                    "zero, so its density is undefined; raise --ae-qubits-dist"
                 )
             out.append(inv)
         # Parallel-circuit convention: the arithmetic runs once over the index
@@ -352,46 +352,50 @@ class QuantumLofPipeline:
     # Step 3: outlier factors and flagging
     # ------------------------------------------------------------------
 
-    def ratio_bound(self) -> float:
-        """Advice input E: classical max density ratio times the safety factor."""
-        return self.config.ratio_safety * self._classical.max_density_ratio
+    def density_ratios(self, inv_lrd: list[FixedPoint], table: NeighborhoodTable) -> list:
+        """rho(i, t) = [lrd-bar(i)]^-1 / [lrd-bar(t)]^-1 by fixed-point division,
+        one list per point i over its neighbors t: step 3's ratio register."""
+        # One division per neighbor slot over the index superposition.
+        self.ledger.charge("step3.qdiv", table.max_count)
+        return [[q_div(inv_lrd[i], inv_lrd[t]).value for t in row.neighbors]
+                for i, row in enumerate(table.rows)]
 
-    def compute_lof_all(
-        self, inv_lrd: list[FixedPoint], table: NeighborhoodTable, ratio_bound: float
-    ) -> np.ndarray:
+    def ratio_ceiling(self, rhos: list) -> float:
+        """The rotation ceiling E: the largest ratio, by one minimum search on
+        -rho in point, then neighbor order, boosted ``min_boost`` times.  A
+        miss (probability <= 2^-min_boost) makes :meth:`compute_lof_all` raise."""
+        cfg = self.config
+        return -quantum_min(
+            -np.concatenate(rhos), self._rngs[_STREAM_MAX_RATIO],
+            budget_multiplier=cfg.budget_multiplier, boost=cfg.min_boost,
+            ledger=self.ledger, charge={"step3.max_ratio": 1},
+        ).value
+
+    def compute_lof_all(self, rhos: list, ratio_bound: float) -> np.ndarray:
         """Amplitude-estimated outlier factor per point: E * sin^2(alpha_hat).
 
-        Ratios rho = [lrd-bar(i)]^-1 / [lrd-bar(t)]^-1 come from fixed-point
-        division and must not exceed the rotation ceiling E.  Every ratio is
-        checked before one :func:`amplitude_estimate` call estimates all
-        points, in point order.
+        Point i's rotation averages rho/E over its ratios ``rhos[i]``
+        (:meth:`density_ratios`), so no ratio may exceed the ceiling E.  The
+        ratios are checked before one :func:`amplitude_estimate` call
+        estimates all points, in point order.
         """
         cfg = self.config
-        rhos = []
-        for i, row in enumerate(table.rows):
-            rhos.append([])
-            for t in row.neighbors:
-                rho = q_div(inv_lrd[i], inv_lrd[t])
-                if rho.value > ratio_bound * (1.0 + 1e-12):
-                    raise RatioBoundError(
-                        f"density ratio {rho.value} for pair ({i}, {t}) exceeds "
-                        f"the rotation ceiling {ratio_bound}"
-                    )
-                rhos[-1].append(rho.value)
+        worst = max(map(max, rhos))
+        if worst > ratio_bound:
+            raise RatioBoundError(
+                f"density ratio {worst} exceeds the rotation ceiling {ratio_bound}"
+            )
         est = amplitude_estimate(
-            [self._rotation_probability(r, ratio_bound, "sqrt") for r in rhos],
+            [self._rotation_probability(row, ratio_bound, "sqrt") for row in rhos],
             cfg.ae_qubits_lof,
             self._rngs[_STREAM_LOF],
             repeats=cfg.ae_repeats,
         )
-        lof_hat = ratio_bound * est.a_hat
         # One amplitude estimation over the index superposition.
         self.ledger.charge(
             "step3.a_lof", cfg.ae_repeats * ae_queries(cfg.ae_qubits_lof, 1)
         )
-        maxn = table.max_count
-        self.ledger.charge("step3.qdiv", maxn)
-        return lof_hat
+        return ratio_bound * est.a_hat
 
     def flag_anomalies(
         self, lof_hat: np.ndarray, delta: float, total_bound: float
@@ -410,51 +414,43 @@ class QuantumLofPipeline:
             exact=(self.config.backend == "exact"),
             charge={"step3.pred": 1},
         )
-        near = bool(
-            math.isfinite(total_bound)
-            and np.any(np.abs(lof_hat - delta) <= total_bound)
-        )
+        near = math.isfinite(total_bound) and bool(np.any(np.abs(lof_hat - delta) <= total_bound))
         return flagged, len(flagged), near
 
     # ------------------------------------------------------------------
     # Error budget and the full run
     # ------------------------------------------------------------------
 
-    def error_budget(self) -> ErrorBudget:
+    def error_budget(self, ratio_bound: float) -> ErrorBudget:
+        """The per-point bound under the rotation ceiling E (:meth:`ratio_ceiling`)."""
         cfg = self.config
-        e_used = self.ratio_bound()
         p = self._classical.dist_floor_sq
-        if p > 0:
-            total = e_used * cfg.eps_lof + 8.0 * cfg.eps_dist / p
-        else:
-            total = math.inf
-        max_lof = float(np.max(self._classical.lof))
+        total = ratio_bound * cfg.eps_lof + 8.0 * cfg.eps_dist / p if p > 0 else math.inf
         return ErrorBudget(
             eps_dist=cfg.eps_dist,
             eps_count=cfg.eps_count(self.ds.m - 1),
             eps_lof=cfg.eps_lof,
-            ratio_bound=e_used,
+            ratio_bound=ratio_bound,
             dist_floor_sq=p,
             total_bound=total,
-            vacuous=not math.isfinite(total) or total > max_lof,
+            vacuous=total > float(np.max(self._classical.lof)),
         )
 
     def run(self) -> dict:
         """Execute the full pipeline and assemble the comparison manifest."""
         cfg = self.config
         table = self.build_neighborhood_table()
-        inv_lrd = self.compute_lrd_all(table)
-        budget = self.error_budget()
-        lof_hat = self.compute_lof_all(inv_lrd, table, budget.ratio_bound)
+        rhos = self.density_ratios(self.compute_lrd_all(table), table)
+        ceiling = self.ratio_ceiling(rhos)
+        budget = self.error_budget(ceiling)
+        lof_hat = self.compute_lof_all(rhos, ceiling)
         flagged_q, t_q, near_q = self.flag_anomalies(lof_hat, cfg.delta, budget.total_bound)
 
         lof_c = self._classical.lof
         flags_c = set(self._classical.flagged_indices())
         flags_q = set(flagged_q)
-        margin_ok = bool(
-            math.isfinite(budget.total_bound)
-            and np.min(np.abs(lof_c - cfg.delta)) > budget.total_bound
-        )
+        margin_ok = bool(np.min(np.abs(lof_c - cfg.delta)) > budget.total_bound)
+        bound = budget.as_dict()["total_bound"]
         points = []
         for i in range(self.ds.m):
             err = abs(float(lof_hat[i]) - float(lof_c[i]))
@@ -464,7 +460,7 @@ class QuantumLofPipeline:
                     "lof_classical": float(lof_c[i]),
                     "lof_quantum": float(lof_hat[i]),
                     "abs_error": err,
-                    "bound": budget.total_bound if math.isfinite(budget.total_bound) else None,
+                    "bound": bound,
                     "within_bound": bool(err <= budget.total_bound),
                     "flagged_classical": bool(i in flags_c),
                     "flagged_quantum": bool(i in flags_q),
@@ -486,8 +482,6 @@ class QuantumLofPipeline:
             "warnings": list(self.warnings),
             "ledger": self.ledger.as_dict(),
             "ledger_step_totals": {
-                "step1": self.ledger.total("step1."),
-                "step2": self.ledger.total("step2."),
-                "step3": self.ledger.total("step3."),
+                step: self.ledger.total(step + ".") for step in ("step1", "step2", "step3")
             },
         }

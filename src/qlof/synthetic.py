@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, from_points
+from .dataset import Dataset, from_points, raw_distance_matrix
 
 
 def random_dataset(
@@ -95,7 +95,7 @@ def gaussian_clusters(
     allpts = np.vstack(pts)
     # Exact duplicates would make densities undefined; nudge any collisions.
     for _ in range(16):
-        d = np.linalg.norm(allpts[:, None, :] - allpts[None, :, :], axis=2)
+        d = raw_distance_matrix(allpts)
         np.fill_diagonal(d, np.inf)
         dup = np.argwhere(d < 1e-9)
         if dup.size == 0:

@@ -5,8 +5,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qlof import pipeline
 from qlof.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -24,6 +26,7 @@ from qlof.cli import (
 from qlof.dataset import RunConfig
 from qlof.fixedpoint import FormatMismatchError
 from qlof.pipeline import QuantumLofPipeline
+from qlof.primitives import MinResult
 from qlof.qsim import QsimError, RegisterOverlapError, ValueRangeError
 
 TOY_CSV = "0\n1\n2\n10\n"
@@ -87,11 +90,31 @@ def test_fixed_point_overflow_exit(tmp_path, capsys):
 
 
 def test_ratio_bound_exit(toy_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(QuantumLofPipeline, "ratio_bound", lambda self: 0.5)
-    rc = main(["compare", str(toy_csv), "--k", "2", "--out", str(tmp_path)])
-    assert rc == EXIT_RATIO_BOUND
+    # Exit 8 needs a missed maximum: the same run with the real search passes.
+    argv = ["compare", str(toy_csv), "--k", "2", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+
+    def missed(values, rng, **kwargs):  # returns the smallest ratio instead
+        i = int(np.argmax(values))
+        return MinResult(index=i, value=float(values[i]), queries=0)
+
+    monkeypatch.setattr(pipeline, "quantum_min", missed)
+    assert main(argv) == EXIT_RATIO_BOUND
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "--ratio-safety" in err[0]
+    assert len(err) == 1 and "maximum search" in err[0] and "--min-boost" in err[0]
+
+
+def test_step2_zero_k_distance_names_ae_qubits_dist(tmp_path, capsys):
+    # A tight group of four next to wide points: distinct, so the classical
+    # side accepts it, but a 4-qubit distance grid estimates the group's
+    # distances to zero and its k-distances with them.
+    p = tmp_path / "tight.csv"
+    p.write_text("".join(f"{x!r}\n" for x in (0.0, 1e-6, 2e-6, 3e-6, 0.5, 1.0)))
+    argv = ["compare", str(p), "--k", "2", "--backend", "ledger", "--out", str(tmp_path)]
+    assert main([*argv, "--ae-qubits-dist", "4"]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--ae-qubits-dist" in err[0] and "--fp-frac" not in err[0]
+    assert main([*argv, "--ae-qubits-dist", "4", "--fp-frac", "15", "--fp-width", "20"]) == EXIT_DEGENERATE
 
 
 @pytest.mark.parametrize(
@@ -112,8 +135,8 @@ def test_internal_simulator_error_exit(toy_csv, tmp_path, capsys, monkeypatch, e
     "argv",
     [
         ["compare", "--budget-multiplier", "nan"],
-        ["compare", "--ratio-safety", "nan"],
-        ["compare", "--ratio-safety", "inf"],
+        ["compare", "--budget-multiplier", "inf"],
+        ["compare", "--delta", "inf"],
         ["compare", "--delta", "nan"],
         ["classical", "--delta", "nan"],
     ],

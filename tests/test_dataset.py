@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qlof import dataset
 from qlof.dataset import (
     DataParseError,
     DegenerateDataError,
@@ -97,6 +98,23 @@ def test_distance_symmetry_bounds_triangle():
                     assert dr[i, j] <= dr[i, k] + dr[k, j] + 1e-9
 
 
+def _one_shot_distances(pts):
+    """The (m, m, n) difference formula the row blocks must reproduce."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+@pytest.mark.parametrize("block", [None, 1, 1000, 20000])
+@pytest.mark.parametrize("m, n", [(2, 1), (37, 3), (300, 2), (90, 64)])
+def test_blocked_distance_matrix_is_bitwise_the_one_shot(monkeypatch, block, m, n):
+    if block is not None:
+        monkeypatch.setattr(dataset, "_DIST_BLOCK", block)
+    pts = np.random.default_rng(m * n).standard_normal((m, n)) * 3.0
+    want = _one_shot_distances(pts).tobytes()
+    assert raw_distance_matrix(from_points(pts)).tobytes() == want
+    assert raw_distance_matrix(pts).tobytes() == want  # a bare point matrix
+
+
 def test_run_config_validation():
     RunConfig(k=2).validate(4)
     with pytest.raises(ConfigError):
@@ -113,7 +131,7 @@ def test_run_config_validation():
         RunConfig(k=2, ae_repeats=2).validate(4)
     with pytest.raises(ConfigError):
         RunConfig(k=2, backend="other").validate(4)
-    for knob in ("delta", "ratio_safety", "budget_multiplier"):
+    for knob in ("delta", "budget_multiplier"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=knob):
                 RunConfig(k=2, **{knob: bad}).validate(4)

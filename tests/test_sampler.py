@@ -261,13 +261,14 @@ def test_lof_stage_equals_the_per_point_loop(backend, make):
         cfg = pipe.config
         table = pipe.build_neighborhood_table()
         inv_lrd = pipe.compute_lrd_all(table)
-        bound = pipe.ratio_bound()
-        lof_hat = pipe.compute_lof_all(inv_lrd, table, bound)
+        rhos = pipe.density_ratios(inv_lrd, table)
+        bound = pipe.ratio_ceiling(rhos)
+        lof_hat = pipe.compute_lof_all(rhos, bound)
         rng = pipe._rng(_STREAM_LOF)
         ref = []
         for i, row in enumerate(table.rows):
-            rhos = [q_div(inv_lrd[i], inv_lrd[t]).value for t in row.neighbors]
-            a = pipe._rotation_probability(rhos, bound, "sqrt")
+            ratios = [q_div(inv_lrd[i], inv_lrd[t]).value for t in row.neighbors]
+            a = pipe._rotation_probability(ratios, bound, "sqrt")
             est = amplitude_estimate(a, cfg.ae_qubits_lof, rng, repeats=cfg.ae_repeats)
             ref.append(bound * est.a_hat)
         assert lof_hat.tolist() == ref
