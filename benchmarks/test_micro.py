@@ -8,7 +8,9 @@ Kept out of the test run (``testpaths`` is ``tests``); run them with
 figures come from ``bench/run.py``; these isolate one primitive each:
 
 * the window sampler ``ae_outcomes`` on one step-1 chunk: 1024 angles with
-  3 draws each at t = 10, the ``ledger-m256`` precision;
+  3 draws each at t = 10, the ``ledger-m256`` precision, and the
+  ``ledger-m256`` distance stage's one ``amplitude_estimate`` call: 32,640
+  amplitudes at t = 10 with 3 repeats;
 * one scalar ``amplitude_estimate`` of 3 repeats at t = 5 and t = 6, the
   counting and step-3 precisions of ``qlof scale`` and ``ledger-m256``, and
   the step-3 stage's one array call: 256 amplitudes at t = 6;
@@ -22,7 +24,8 @@ figures come from ``bench/run.py``; these isolate one primitive each:
 * an exact-backend ``grover_search`` with nothing marked, the saturation
   check that ends every neighborhood collection;
 * the ledger-backend layers behind a ``ledger-m256`` point: ``kth_smallest``
-  at m = 255, k = 3, boost 1, ``quantum_count`` at t = 5 with 3 repeats
+  at m = 255, k = 3, boost 1, over one row and over the k-distance stage's
+  256 x 255 rows, ``quantum_count`` at t = 5 with 3 repeats
   over one row and over the counting stage's 256 x 255 mask, and the
   collection stage's one ``grover_collect`` call over a 256 x 255 mask;
 * step 2's fixed-point operations at the ``qlof scale`` format (20, 12):
@@ -63,6 +66,14 @@ def test_ae_outcomes_chunk_t10(benchmark):
     thetas = np.arcsin(np.sqrt(rng.random(1024)))
     u = rng.random((1024, REPEATS))
     assert benchmark(ae_outcomes, thetas, 10, u).shape == (1024, REPEATS)
+
+
+def test_amplitude_estimate_distance_stage_t10(benchmark):
+    # The pair amplitudes of a ledger-m256 run: squared normalized distances.
+    a = np.random.default_rng(1).random(32640) ** 2 * 0.3
+    rng = np.random.default_rng(1)
+    est = benchmark(amplitude_estimate, a, 10, rng, repeats=REPEATS)
+    assert est.a_hat.shape == (32640,)
 
 
 @pytest.mark.parametrize("t", [5, 6])
@@ -135,6 +146,13 @@ def test_ledger_kth_smallest_m255(benchmark):
     rng = np.random.default_rng(6)
     res = benchmark(kth_smallest, values, 3, rng, boost=1)
     assert len(res.indices) == 3
+
+
+def test_ledger_kth_smallest_rows_m256(benchmark):
+    values = np.random.default_rng(5).random((256, 255))
+    rng = np.random.default_rng(6)
+    res = benchmark.pedantic(kth_smallest, (values, 3, rng), rounds=3)
+    assert res.indices.shape == (256, 3)
 
 
 def test_quantum_count_t5(benchmark):

@@ -26,8 +26,9 @@ collection, outlier factors, flagging, ratio maximum -- draws from one
 generator of its own, keyed by (seed, stage).  Distances, counting and
 outlier factors are each one :func:`amplitude_estimate` call,
 ``ae_repeats`` uniforms per pair in upper-triangle row order or per point in
-point order.  The k-distance searches draw point by point; the ratio maximum
-is one :func:`quantum_min` call.  Collection draws across points: each of its
+point order.  The k-distance stage is one :func:`kth_smallest` call over
+every search row, drawing point by point; the ratio maximum is one
+:func:`quantum_min` call.  Collection draws across points: each of its
 invocations is one search over every point still collecting, one block of
 uniforms per point in point order (:func:`grover_search`); flagging is one
 such search per invocation over the outlier factors.  The exact backend's
@@ -211,13 +212,15 @@ class QuantumLofPipeline:
             self._dist_hat = mat
         return self._dist_hat
 
-    def find_k_distance(self, row: np.ndarray) -> tuple[float, list[int]]:
-        """k-distance over one point's search row, its frozen estimates to
-        the other m-1 points (:func:`~qlof.lof.off_diagonal`), by k successive
-        minimum searches; also returns the k row positions found on the way."""
+    def find_k_distance(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """k-distance of every search row, a point's frozen estimates to the
+        other m-1 points (:func:`~qlof.lof.off_diagonal`), by k successive
+        minimum searches, in one call, rows in point order; also returns the
+        (m, k) row positions found on the way.  One 1-D row is the one-row
+        case: a float and a list."""
         cfg = self.config
         res = kth_smallest(
-            row,
+            rows,
             cfg.k,
             self._rngs[_STREAM_KDIST],
             budget_multiplier=cfg.budget_multiplier,
@@ -273,12 +276,16 @@ class QuantumLofPipeline:
         one counting call and one collection call over all search rows."""
         eps1 = self.config.eps_dist
         rows, points = off_diagonal(self.distance_estimates())
-        searched = [self.find_k_distance(row) for row in rows]
-        kdist = np.array([kd for kd, _ in searched])
+        kdist, seeds = self.find_k_distance(rows)
         counts = self.count_neighbors(rows, kdist).count.tolist()
         collected, saturated = self.find_neighbors(
-            rows, kdist, expected=counts, seed_found=[seeds for _, seeds in searched]
+            rows, kdist, expected=counts, seed_found=seeds
         )
+        # Membership can flip when a true distance sits within eps_dist of
+        # the threshold and the estimate itself is eps_dist off, so the
+        # observable symptom spans two grid cells around the threshold.
+        kd = kdist[:, None]
+        near = ((np.abs(rows - kd) <= 2.0 * eps1) & (rows != kd)).any(axis=1).tolist()
         table = []
         for i, (row, kd, found, sat, count) in enumerate(
             zip(rows, kdist, collected, saturated, counts)
@@ -288,10 +295,7 @@ class QuantumLofPipeline:
                     f"point {i}: neighbor collection hit the cap at "
                     f"{len(found)} of an estimated {count}"
                 )
-            # Membership can flip when a true distance sits within eps_dist of
-            # the threshold and the estimate itself is eps_dist off, so the
-            # observable symptom spans two grid cells around the threshold.
-            if np.any((np.abs(row - kd) <= 2.0 * eps1) & (row != kd)):
+            if near[i]:
                 self.warnings.append(
                     f"point {i}: a distance estimate lies near the k-distance "
                     f"threshold; membership may differ from the classical "

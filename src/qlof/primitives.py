@@ -45,6 +45,7 @@ made by the algorithm's control flow are.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -251,8 +252,10 @@ def _grover_outcome_exact(
     return int(rng.choice(dim, p=p / p.sum()))
 
 
+@functools.lru_cache(maxsize=None)
 def _schedule(m: int) -> np.ndarray:
-    """Iteration caps ceil(B_j) of a search's rounds over a domain of size m.
+    """Iteration caps ceil(B_j) of a search's rounds over a domain of size m,
+    computed once per m and read-only.
 
     B starts at 1 and grows by ``GROWTH`` each round that finds nothing until
     it saturates at sqrt(m); ``EXTRA_ROUNDS`` more rounds follow.  Round j
@@ -264,7 +267,9 @@ def _schedule(m: int) -> np.ndarray:
     for _ in range(rounds):
         caps.append(math.ceil(big_m))
         big_m = min(GROWTH * big_m, sqrt_m)
-    return np.array(caps)
+    caps = np.array(caps)
+    caps.setflags(write=False)
+    return caps
 
 
 def _search_exact(marked: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
@@ -308,8 +313,18 @@ def _search_block(marked: np.ndarray, rng: np.random.Generator) -> tuple[np.ndar
     y = np.full(n, -1, dtype=np.int64)
     rows = np.flatnonzero(found)
     pick = np.floor(rng.random(rows.size) * tcount[rows]).astype(np.int64)
-    y[rows] = (np.cumsum(marked[rows], axis=1) > pick[:, None]).argmax(axis=1)
+    y[rows] = _nth_marked(marked[rows], pick)
     return y, queries
+
+
+def _nth_marked(marked: np.ndarray, nth: np.ndarray) -> np.ndarray:
+    """Per row of the 2-D ``marked``, the index of its marked entry of rank
+    ``nth`` (from 0) in index order; every row must have more than ``nth``
+    marked entries.  The rows' marked indices are listed row after row, so
+    row j's lie at offsets [start_j, start_j + T_j) of that list."""
+    cols = np.nonzero(marked)[1]
+    tcount = np.count_nonzero(marked, axis=1)
+    return cols[np.cumsum(tcount) - tcount + nth]
 
 
 def grover_search(
@@ -471,25 +486,38 @@ def quantum_min(
     if boost < 1:
         raise ValueError("boost must be >= 1")
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
     budget = math.ceil(budget_multiplier * math.sqrt(m))
+    best_i, best_v, total = _dh_boosted(values, order, rng, budget, boost)
+    if ledger is not None:
+        ledger.charge_many(charge, total)
+    return MinResult(index=best_i, value=best_v, queries=total)
 
+
+def _dh_boosted(
+    values: np.ndarray,
+    order: np.ndarray,
+    rng: np.random.Generator,
+    budget: int,
+    boost: int,
+) -> tuple[int, float, int]:
+    """``boost`` Durr-Hoyer passes over ``values``, whose stable sort order
+    is ``order``, keeping the least (value, index).  Returns (index, value,
+    queries of every pass)."""
+    sorted_vals = values[order]
     best_i, best_v, total = -1, math.inf, 0
     for _ in range(boost):
         i, v, q = _dh_single(values, order, sorted_vals, rng, budget)
         total += q
         if (v, i) < (best_v, best_i) or best_i < 0:
             best_i, best_v = i, v
-    if ledger is not None:
-        ledger.charge_many(charge, total)
-    return MinResult(index=best_i, value=best_v, queries=total)
+    return best_i, best_v, total
 
 
 @dataclass(frozen=True)
 class KthSmallestResult:
-    value: float
-    indices: list[int]  # the k indices realizing the k smallest values
-    queries: int
+    value: float | np.ndarray
+    indices: list[int] | np.ndarray  # the k indices realizing the k smallest values
+    queries: int | np.ndarray
 
 
 def kth_smallest(
@@ -506,29 +534,44 @@ def kth_smallest(
     The k-th search's value is the k-th order statistic; ties beyond the k-th
     rank are resolved downstream by the <=-threshold neighborhood predicate.
     k may equal the domain size (callers that exclude the query point pass
-    the m-1 other candidates and k up to m-1).
+    the m-1 other candidates and k up to m-1).  Each search is a
+    :func:`quantum_min` of the row with its found indices set to +inf.
+
+    A 2-D ``values`` holds one domain per row, searched row after row; the
+    result then holds arrays: one value and one query count per row, and an
+    (n, k) array of indices.  A 1-D call is the one-row case.  Each row is
+    sorted once; a found index moves to the end of the sort order, among
+    the found in index order, which is the stable sort order of the row with
+    its found indices set to +inf.  The values must be finite.  The ledger is
+    charged once, with the queries of every row.
     """
     values = np.asarray(values, dtype=float)
-    if not 1 <= k <= values.size:
-        raise ValueError(f"k={k} outside [1, {values.size}]")
-    excluded = np.zeros(values.size, dtype=bool)
-    found: list[int] = []
-    total = 0
-    value = math.nan
-    for _ in range(k):
-        res = quantum_min(
-            np.where(excluded, math.inf, values),
-            rng,
-            budget_multiplier=budget_multiplier,
-            boost=boost,
-            ledger=ledger,
-            charge=charge,
-        )
-        found.append(res.index)
-        excluded[res.index] = True
-        total += res.queries
-        value = res.value
-    return KthSmallestResult(value=value, indices=found, queries=total)
+    if values.ndim not in (1, 2):
+        raise ValueError("values must be one domain or a 2-D array of domains")
+    m = values.shape[-1]
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} outside [1, {m}]")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    rows = values.reshape(-1, m)
+    budget = math.ceil(budget_multiplier * math.sqrt(m))
+    found = np.empty((rows.shape[0], k), dtype=np.int64)
+    kth = np.empty(rows.shape[0])
+    queries = np.zeros(rows.shape[0], dtype=np.int64)
+    for n, (row, keep) in enumerate(zip(rows, np.argsort(rows, axis=1, kind="stable"))):
+        masked, order = row.copy(), keep
+        for j in range(k):
+            i, kth[n], q = _dh_boosted(masked, order, rng, budget, boost)
+            found[n, j] = i
+            queries[n] += q
+            masked[i] = math.inf
+            keep = keep[keep != i]
+            order = np.concatenate((keep, np.flatnonzero(masked == math.inf)))
+    if ledger is not None:
+        ledger.charge_many(charge, int(queries.sum()))
+    if values.ndim == 2:
+        return KthSmallestResult(value=kth, indices=found, queries=queries)
+    return KthSmallestResult(value=float(kth[0]), indices=found[0].tolist(), queries=int(queries[0]))
 
 
 # ---------------------------------------------------------------------------

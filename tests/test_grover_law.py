@@ -21,6 +21,8 @@ from qlof.primitives import (
     GROWTH,
     _grover_outcome_exact,
     _grover_outcome_law,
+    _nth_marked,
+    _schedule,
     grover_collect,
     grover_search,
 )
@@ -139,6 +141,29 @@ def schedule_caps(m):
         caps.append(math.ceil(big_m))
         big_m = min(GROWTH * big_m, sqrt_m)
     return np.array(caps)
+
+
+def test_schedule_is_computed_once_per_domain_size():
+    for m in (1, 2, 16, 255, 4096):
+        caps = _schedule(m)
+        assert _schedule(m) is caps and not caps.flags.writeable
+        assert caps.tolist() == schedule_caps(m).tolist()
+
+
+def test_nth_marked_equals_the_cumulative_sum_pick():
+    # The pick the block search made before: the first index at which the
+    # row's running count of marked entries exceeds the rank.
+    g = np.random.default_rng(17)
+    for m in (1, 2, 5, 40, 255):
+        marked = g.random((30, m)) < g.random((30, 1))
+        marked[0] = False
+        marked[0, g.integers(m)] = True  # one marked
+        marked[1] = True  # all marked
+        marked = marked[marked.any(axis=1)]
+        tcount = marked.sum(axis=1)
+        for nth in (np.zeros_like(tcount), tcount - 1, g.integers(0, tcount)):
+            want = (np.cumsum(marked, axis=1) > nth[:, None]).argmax(axis=1)
+            assert _nth_marked(marked, nth).tolist() == want.tolist()
 
 
 def per_round_search(marked, rng):

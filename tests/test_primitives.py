@@ -299,6 +299,64 @@ def test_kth_smallest_matches_sort_oracle():
         assert math.isclose(res.value, float(np.sort(vals)[k - 1]))
 
 
+def masked_min_searches(values, k, rng, boost, ledger, charge):
+    """k-th smallest as k ``quantum_min`` calls, each on the row with its
+    found indices set to +inf: the exclusion that ``kth_smallest`` keeps by
+    moving found indices to the end of one sort order."""
+    excluded = np.zeros(values.size, dtype=bool)
+    found, total, value = [], 0, math.nan
+    for _ in range(k):
+        res = quantum_min(np.where(excluded, math.inf, values), rng, boost=boost,
+                          ledger=ledger, charge=charge)
+        found.append(res.index)
+        excluded[res.index] = True
+        total += res.queries
+        value = res.value
+    return value, found, total
+
+
+def search_rows(seed, m=12, n=6):
+    """Rows for the k-distance search: continuous ones and tie-heavy ones
+    over a few distinct values, one of them constant."""
+    g = np.random.default_rng(seed)
+    ties = g.integers(0, 3, size=(n, m)).astype(float)
+    ties[0] = 0.25
+    return np.concatenate([g.random((n, m)), ties])
+
+
+@pytest.mark.parametrize("boost", [1, 5])
+@pytest.mark.parametrize("k", [1, 3, 11])
+def test_kth_smallest_rows_equal_per_row_calls_on_one_stream(k, boost):
+    charge = {"v": 1, "w": 3}
+    for seed in range(4):
+        vals = search_rows(seed)
+        rngs = [np.random.default_rng([seed, 9]) for _ in range(3)]
+        leds = [QueryLedger() for _ in range(3)]
+        res = kth_smallest(vals, k, rngs[0], boost=boost, ledger=leds[0], charge=charge)
+        rows = [kth_smallest(row, k, rngs[1], boost=boost, ledger=leds[1], charge=charge)
+                for row in vals]
+        loops = [masked_min_searches(row, k, rngs[2], boost, leds[2], charge) for row in vals]
+        assert res.value.tolist() == [r.value for r in rows] == [v for v, _, _ in loops]
+        assert res.indices.tolist() == [r.indices for r in rows] == [f for _, f, _ in loops]
+        assert res.queries.tolist() == [r.queries for r in rows] == [q for _, _, q in loops]
+        assert leds[0].as_dict() == leds[1].as_dict() == leds[2].as_dict()
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def test_kth_smallest_charges_once_per_call():
+    led = QueryLedger()
+    calls = []
+    led.charge_many = lambda charge, times: calls.append(times)
+    res = kth_smallest(search_rows(0), 3, np.random.default_rng(1), ledger=led)
+    assert calls == [int(res.queries.sum())]
+
+
+def test_kth_smallest_rejects_non_finite_values():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kth_smallest(np.array([1.0, bad, 2.0]), 1, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Quantum counting
 # ---------------------------------------------------------------------------
