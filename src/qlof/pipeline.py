@@ -26,7 +26,8 @@ collection, outlier factors, flagging, ratio maximum -- draws from one
 generator of its own, keyed by (seed, stage).  Distances, counting and
 outlier factors are each one :func:`amplitude_estimate` call,
 ``ae_repeats`` uniforms per pair in upper-triangle row order or per point in
-point order.  The k-distance stage is one :func:`kth_smallest` call over
+point order, each uniform mapped to one outcome by the staged-window
+sampler :func:`~qlof.primitives.ae_outcomes`.  The k-distance stage is one :func:`kth_smallest` call over
 every search row, drawing point by point; the ratio maximum is one
 :func:`quantum_min` call.  Collection draws across points: each of its
 invocations is one search over every point still collecting, one block of

@@ -17,18 +17,20 @@ Four primitives drive the pipeline:
 
 :func:`amplitude_estimate` is the one entry point of amplitude estimation,
 for one amplitude or an array.  It samples block by block through
-:func:`ae_outcomes`, which inverts each draw's uniform over a window of the
-outcome law around the two peaks and touches the whole 2^t-outcome law only
-for the rare draw that lands past the window, so its cost hardly grows with t.
+:func:`ae_outcomes`, which inverts each draw's uniform in stages of widening
+windows around the outcome law's peak: the peak's two outcomes place most
+draws, each later stage takes only the draws left over, and only the rare
+draw past a 512-outcome window touches the whole 2^t-outcome law, so the
+cost hardly grows with t.
 The one exception is the statevector reference
 :func:`amplitude_estimate_via_qpe`, which builds a preparer's Grover operator
 and samples its phase-estimation distribution.
 
 The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
-the domain size m is the array's size.  Search, collection and counting
-also take a 2-D mask, one domain per row, and a 1-D mask is the one-row
-case.  A primitive given a ``ledger`` charges it once per call: every
+the domain size m is the array's size.  Search, collection, counting and
+the k-th smallest also take a 2-D array, one domain per row, and a 1-D
+array is the one-row case.  A primitive given a ``ledger`` charges it once per call: every
 counter of ``charge`` times the call's total number of oracle queries.
 
 The exact backend runs real statevector Grover iterations; the ledger backend
@@ -38,7 +40,8 @@ its schedule is fixed, so one block of uniforms per row decides every
 round (:func:`_search_block`), and collection searches all its rows in
 lockstep, one call per invocation.  Durr-Hoyer minimum finding draws its
 measurements round by round (:func:`_grover_outcome_law`), because its
-schedule restarts at each improvement.  Simulation bookkeeping (evaluating
+schedule restarts at each improvement; a 2-D :func:`kth_smallest` runs its
+rows one after another on one generator, as a loop of 1-D calls would.  Simulation bookkeeping (evaluating
 the predicate to learn the ground truth) is never charged; only queries
 made by the algorithm's control flow are.
 """
@@ -89,11 +92,12 @@ def ae_queries(t: int, repeats: int = 1) -> int:
     return repeats * (2 * ((1 << t) - 1) + 1)
 
 
-# Outcomes on each side of a kernel's peak that ``ae_outcomes`` tabulates.
-# The kernel's mass beyond them is about 1/(pi^2 * _WINDOW) on average over
-# angles and at most 1.27% for t <= 12, so about 0.63% of draws at t = 10
-# take the sampler's whole-row tail.
-_WINDOW = 16
+# Half-widths h of the nested windows that ``ae_outcomes`` inverts a draw
+# over, stage by stage: the 2h outcomes [p - h + 1, p + h] around a kernel's
+# peak p, less the previous stage's.  The peak's two outcomes hold at least
+# 8/pi^2 of the kernel's mass, and a window of 2h outcomes all but about
+# 1/(pi^2 * h) on average over angles; the last stage is the whole row.
+_STAGES = (1, 4, 16, 64, 256)
 
 
 def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
@@ -104,31 +108,44 @@ def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> 
     ``thetas[b]``, and depends on that angle and uniform alone.  The law is
     an equal mixture of the Fejer kernels of the Grover eigenbranches at
     +-theta (Brassard-Hoyer-Mosca-Tapp 2002): u >= 1/2 picks the -theta
-    branch, and v = 2u - branch then inverts the +theta kernel's CDF over
-    the 2W outcomes around its peak 2^t*theta/pi, W = min(_WINDOW, 2^(t-1)).
-    A v at or past the window's mass inverts the kernel over all outcomes
-    with the window zeroed, at v minus that mass.  A -theta draw maps the
-    outcome y to (2^t - y) mod 2^t.
+    branch, and v = 2u - branch then inverts the +theta kernel's CDF in
+    stages around its peak p = floor(2^t*theta/pi), one per half-width h of
+    ``_STAGES`` below 2^(t-1) and a last one at h = 2^(t-1).  Stage s
+    covers the outcomes [p - h_s + 1, p + h_s] less those of stage s - 1,
+    in index order; a draw whose v is at or past the stage's mass goes on
+    to the next stage at v minus that mass, and the last stage, which holds
+    the rest of the row, keeps every draw.  So each outcome belongs to one
+    stage, and a stage's kernel is evaluated only for the angles that still
+    have a draw in it: for every angle in the first stage, then once per
+    draw left over.  A -theta draw maps the outcome y to (2^t - y) mod 2^t.
     """
     n = 1 << t
-    w = min(_WINDOW, n // 2)
-    angles = np.asarray(thetas, dtype=float)
+    theta = np.asarray(thetas, dtype=float)
     u = np.asarray(u, dtype=float)
     minus = u >= 0.5
     v = 2.0 * u - minus
-    lo = np.floor(angles * (n / math.pi)).astype(np.int64) - (w - 1)
-    window = lo[:, None] + np.arange(2 * w)
-    cdf = ae_distribution(angles[:, None], t, window).cumsum(axis=1)
-    k = (cdf[:, None, :] <= v[:, :, None]).sum(axis=2)
-    if 2 * w == n:  # the window holds every outcome: there is no tail
-        np.minimum(k, n - 1, out=k)
-    ys = lo[:, None] + k
-    rows, cols = np.nonzero(k == 2 * w)
-    if rows.size:
-        tail = ae_distribution(angles[rows, None], t, np.arange(n))
-        tail[np.arange(rows.size)[:, None], window[rows] % n] = 0.0
-        below = tail.cumsum(axis=1) <= (v[rows, cols] - cdf[rows, -1])[:, None]
-        ys[rows, cols] = np.minimum(below.sum(axis=1), n - 1)
+    peak = np.floor(theta * (n / math.pi)).astype(np.int64)
+    ys = np.empty(u.shape, dtype=np.int64)
+    # One row per angle still in play, holding the flat positions of its
+    # draws still to place: (angle, draw) at first, one draw a row after.
+    draws = np.arange(u.size).reshape(u.shape)
+    inner = 0
+    for h in [h for h in _STAGES if 2 * h < n] + [n // 2]:
+        offsets = np.concatenate((np.arange(1 - h, 1 - inner), np.arange(inner + 1, h + 1)))
+        # (outcome, angle) layout: the cumulative sum runs down columns.
+        cdf = ae_distribution(theta, t, peak + offsets[:, None]).cumsum(axis=0)
+        k = (cdf[:, :, None] <= v).sum(axis=0)
+        if 2 * h == n:
+            np.minimum(k, offsets.size - 1, out=k)
+        placed = k < offsets.size
+        ys.flat[draws[placed]] = np.broadcast_to(peak[:, None], k.shape)[placed] + offsets[k[placed]]
+        rows, cols = np.nonzero(~placed)
+        if rows.size == 0:
+            break
+        theta, peak = theta[rows], peak[rows]
+        v = (v[rows, cols] - cdf[-1, rows])[:, None]
+        draws = draws[rows, cols][:, None]
+        inner = h
     ys %= n
     return np.where(minus, (n - ys) % n, ys)
 
@@ -141,12 +158,13 @@ def folded_median(ys: np.ndarray, t: int) -> np.ndarray:
 
 
 # Amplitudes sampled per ``ae_outcomes`` call.  The estimates do not depend
-# on it.  A block's transients are a few (block, 32) float arrays, 256 kB
-# each at 1024 amplitudes.  At m = 256, t = 10 the step-1 distance stage
-# (32,640 amplitudes) took 0.238 s in 16-amplitude blocks, 0.070 s in 512,
-# 0.068 s in 1024, 0.066 s in 2048 and 0.110 s in 4096 (one process, best
-# of 3, 2 cores).
-_AE_BLOCK = 1024
+# on it.  A block's largest transients are its (2, block, repeats) first-stage
+# comparison and a few (block, repeats) arrays, 96 kB each at 4096 amplitudes
+# and 3 repeats.  At m = 256, t = 10 the step-1 distance call (32,640
+# amplitudes, 3 repeats) took a median 44 ms in 1024-amplitude blocks,
+# 33 ms in 2048, 28 ms in 4096, 27 ms in 8192 and 29 ms in one block (30
+# interleaved runs, one process, 2 cores).
+_AE_BLOCK = 4096
 
 
 def amplitude_estimate(
@@ -177,10 +195,12 @@ def amplitude_estimate(
     for lo in range(0, flat.size, _AE_BLOCK):
         hi = min(lo + _AE_BLOCK, flat.size)
         ys = ae_outcomes(flat[lo:hi], t, rng.random((hi - lo, repeats)))
-        theta_hat[lo:hi] = math.pi * folded_median(ys, t) / (1 << t)
-        # Python's float power, not numpy's square, which rounds a few grid
-        # angles' sin^2 differently (t >= 12).
-        a_hat[lo:hi] = [math.sin(x) ** 2 for x in theta_hat[lo:hi].tolist()]
+        grid, idx = np.unique(folded_median(ys, t), return_inverse=True)
+        angle = math.pi * grid / (1 << t)
+        theta_hat[lo:hi] = angle[idx]
+        # Python's sine, not numpy's, which rounds a few grid angles' sin^2
+        # differently (t >= 12); once per grid angle in the block.
+        a_hat[lo:hi] = np.array([math.sin(x) ** 2 for x in angle.tolist()])[idx]
     if a.ndim == 0:  # Python floats for a scalar amplitude
         theta_hat, a_hat = float(theta_hat[0]), float(a_hat[0])
     else:

@@ -17,11 +17,13 @@ generator per stage, keyed by (seed, stage), for the stage tags 0-6
 (distances, k-distance, counting, collection, outlier factors, flagging and
 step 3's ratio-maximum search, one ``quantum_min`` call over every (point,
 neighbor) density ratio in point, then neighbor order), with step 1's pairs
-drawn in upper-triangle row order; the map from uniforms to outcomes of
-``primitives.ae_outcomes``, the Fejer-window sampler (one uniform per
-draw: its half picks the +-theta kernel, the rest inverts that kernel over
-a window around its peak or, past the window, over the tail); and, on the
-ledger backend, the block-sampled Grover search of
+drawn in upper-triangle row order, and the k-distance stage one
+``kth_smallest`` call over every point's row in point order; the map from
+uniforms to outcomes of ``primitives.ae_outcomes``, the staged-window
+sampler (one uniform per draw: its half picks the +-theta kernel, the rest
+inverts that kernel over the peak's two outcomes or, past their mass, over
+each wider window of ``primitives._STAGES`` less the one before it, and
+finally over the rest of the row); and, on the ledger backend, the block-sampled Grover search of
 ``primitives.grover_search`` (one (R, 2) block of uniforms per search,
 then one uniform per hit), with collection drawing every point still
 collecting in point order, invocation by invocation.  The exact backend's

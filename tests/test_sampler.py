@@ -2,8 +2,9 @@
 
 ``ae_outcomes`` must sample the literal outcome law ``ae_mixture`` exactly:
 its outcome counts over evenly spaced uniforms must match the law to within
-rounding of the count, on and off the outcome grid, with and without draws
-in the tail beyond the window.  The step-1 distance stage must equal a
+rounding of the count, on and off the outcome grid, and the draws forced
+into each of its stages must follow the law restricted to that stage's
+outcomes, evaluating the kernel only for the angles with a draw there.  The step-1 distance stage must equal a
 per-pair loop of scalar ``ae_outcomes`` calls on the stage's one stream,
 draw for draw, whatever the estimator's block size; the counting and step-3
 stages must equal per-point loops of scalar calls on theirs.
@@ -44,11 +45,16 @@ def law_angles(t):
     return [0.0, math.pi / 2, 1e-7, math.pi * max(1, n // 8) / n, 0.4321, 1.2345]
 
 
-def window(theta, t):
-    """The sampler's window: the 2W outcomes around the +theta peak, unreduced."""
-    w = min(primitives._WINDOW, 1 << (t - 1))
-    lo = math.floor(theta * (1 << t) / math.pi) - (w - 1)
-    return np.arange(lo, lo + 2 * w)
+def stages(theta, t):
+    """The sampler's stages: each stage's outcomes around the +theta peak,
+    unreduced, in the order it inverts them."""
+    n = 1 << t
+    peak = math.floor(theta * n / math.pi)
+    out, inner = [], 0
+    for h in [h for h in primitives._STAGES if 2 * h < n] + [n // 2]:
+        out.append(peak + np.r_[np.arange(1 - h, 1 - inner), np.arange(inner + 1, h + 1)])
+        inner = h
+    return out
 
 
 def midpoint_counts(theta, t, u):
@@ -106,17 +112,52 @@ def test_amplitude_estimate_of_a_subnormal_amplitude():
     assert amplitude_estimate(1e-310, 6, np.random.default_rng(0)).theta_hat == 0.0
 
 
-@pytest.mark.parametrize("theta, t", [(0.4321, 9), (1.2345, 12), (0.05, 7)])
-def test_draw_past_the_window_takes_the_tail(theta, t, monkeypatch):
-    # Uniforms past half the window's mass, on either branch, all go to the
-    # tail: the kernel over every outcome with the window zeroed.  Their
-    # counts must follow that law reflected for the -theta branch, and the
-    # sampler must evaluate the full row (its second law evaluation).
+STAGE_ANGLES = pytest.mark.parametrize(
+    "theta, t", [(0.4321, 9), (1.2345, 12), (0.05, 7), (0.3, 3), (1.0, 2)]
+)
+
+
+def test_stages_cover_every_outcome_once():
+    for t in range(1, 13):
+        for theta in law_angles(t):
+            cover = np.concatenate(stages(theta, t)) % (1 << t)
+            assert np.array_equal(np.sort(cover), np.arange(1 << t))
+
+
+@STAGE_ANGLES
+def test_draws_forced_into_each_stage_follow_its_law(theta, t):
+    # Uniforms whose v lies past the mass of the stages before s and within
+    # stage s's, on either branch, must land on stage s's outcomes and follow
+    # the kernel restricted to them (reflected for the -theta branch).
     n = 1 << t
-    mass = float(pe_kernel(theta / math.pi - window(theta, t) / n, t).sum())
-    assert mass < 1.0
+    kernel = pe_kernel(theta / math.pi - np.arange(n) / n, t)
     draws = 1 << 12
-    v = mass + (1.0 - mass) * (np.arange(draws) + 0.5) / draws
+    before = 0.0
+    for outcomes in stages(theta, t):
+        law = np.zeros(n)
+        law[outcomes % n] = kernel[outcomes % n]
+        mass = law.sum()
+        v = before + mass * (np.arange(draws) + 0.5) / draws
+        for branch in (0, 1):
+            u = np.array_split((v + branch) / 2.0, 8)
+            ys = np.concatenate([ae_outcomes([theta], t, part[None, :])[0] for part in u])
+            if branch:
+                ys = (n - ys) % n
+            counts = np.bincount(ys, minlength=n)
+            assert counts[law == 0.0].sum() == 0, (outcomes, branch)
+            assert np.abs(counts - draws * law / mass).max() <= 4.0, (outcomes, branch)
+        before += mass
+
+
+@STAGE_ANGLES
+def test_a_stage_evaluates_only_the_angles_with_a_draw_in_it(theta, t, monkeypatch):
+    # Five angles with three draws each, all placed by the first stage but
+    # one draw of the middle angle, forced into stage s: the kernel is then
+    # evaluated for every angle in the first stage and for that one draw in
+    # each stage up to s, over that stage's outcomes.
+    n = 1 << t
+    kernel = pe_kernel(theta / math.pi - np.arange(n) / n, t)
+    thetas = [0.11, 0.52, theta, 0.93, 1.34]
     calls = []
 
     def counted(theta_, t_, ys):
@@ -124,18 +165,17 @@ def test_draw_past_the_window_takes_the_tail(theta, t, monkeypatch):
         return ae_distribution(theta_, t_, ys)
 
     monkeypatch.setattr(primitives, "ae_distribution", counted)
-    for branch in (0, 1):
+    layout = stages(theta, t)
+    before = 0.0
+    for s, outcomes in enumerate(layout):
+        mass = kernel[outcomes % n].sum()
+        u = np.zeros((5, 3))
+        u[2, 1] = (before + 0.5 * mass) / 2.0  # the +theta branch
         calls.clear()
-        u = np.array_split((v + branch) / 2.0, 8)
-        ys = np.concatenate([ae_outcomes([theta], t, part[None, :])[0] for part in u])
-        assert calls[-1] == (n,)
-        if branch:
-            ys = (n - ys) % n
-        plus = pe_kernel(theta / math.pi - np.arange(n) / n, t)
-        plus[window(theta, t) % n] = 0.0
-        counts = np.bincount(ys, minlength=n)
-        assert counts[plus == 0.0].sum() == 0
-        assert np.abs(counts - draws * plus / plus.sum()).max() <= 4.0
+        ys = ae_outcomes(thetas, t, u)
+        assert ys[2, 1] in outcomes % n
+        assert calls == [(2, 5)] + [(o.size, 1) for o in layout[1 : s + 1]]
+        before += mass
 
 
 def test_draw_next_to_one_stays_in_its_row():
