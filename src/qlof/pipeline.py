@@ -27,12 +27,13 @@ generator of its own, keyed by (seed, stage).  Distances, counting and
 outlier factors are each one :func:`amplitude_estimate` call,
 ``ae_repeats`` uniforms per pair in upper-triangle row order or per point in
 point order, each uniform mapped to one outcome by the staged-window
-sampler :func:`~qlof.primitives.ae_outcomes`.  The k-distance stage is one :func:`kth_smallest` call over
-every search row, drawing point by point; the ratio maximum is one
-:func:`quantum_min` call.  Collection draws across points: each of its
-invocations is one search over every point still collecting, one block of
-uniforms per point in point order (:func:`grover_search`); flagging is one
-such search per invocation over the outlier factors.  The exact backend's
+sampler :func:`~qlof.primitives.ae_outcomes`.  The k-distance stage is one
+:func:`kth_smallest` call over every search row, drawing point by point; the
+ratio maximum is one :func:`quantum_min` call.  Collection draws across
+points: each of its invocations is one search over every point still
+collecting, one block of uniforms per point in point order
+(:func:`grover_search`); flagging is one such search per invocation over the
+outlier factors.  The exact backend's
 statevector searches draw round by round, and it collects point by point.
 So a stage's draws do not depend on how another stage uses its stream.
 """

@@ -30,8 +30,9 @@ The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
 the domain size m is the array's size.  Search, collection, counting and
 the k-th smallest also take a 2-D array, one domain per row, and a 1-D
-array is the one-row case.  A primitive given a ``ledger`` charges it once per call: every
-counter of ``charge`` times the call's total number of oracle queries.
+array is the one-row case.  A primitive given a ``ledger`` charges it once
+per call: every counter of ``charge`` times the call's total number of
+oracle queries.
 
 The exact backend runs real statevector Grover iterations; the ledger backend
 samples outcomes from the identical closed-form success law while charging the
@@ -41,9 +42,9 @@ round (:func:`_search_block`), and collection searches all its rows in
 lockstep, one call per invocation.  Durr-Hoyer minimum finding draws its
 measurements round by round (:func:`_grover_outcome_law`), because its
 schedule restarts at each improvement; a 2-D :func:`kth_smallest` runs its
-rows one after another on one generator, as a loop of 1-D calls would.  Simulation bookkeeping (evaluating
-the predicate to learn the ground truth) is never charged; only queries
-made by the algorithm's control flow are.
+rows one after another on one generator, as a loop of 1-D calls would.
+Simulation bookkeeping (evaluating the predicate to learn the ground truth)
+is never charged; only queries made by the algorithm's control flow are.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> 
         if 2 * h == n:
             np.minimum(k, offsets.size - 1, out=k)
         placed = k < offsets.size
-        ys.flat[draws[placed]] = np.broadcast_to(peak[:, None], k.shape)[placed] + offsets[k[placed]]
+        at = np.broadcast_to(peak[:, None], k.shape)[placed]
+        ys.flat[draws[placed]] = at + offsets[k[placed]]
         rows, cols = np.nonzero(~placed)
         if rows.size == 0:
             break
@@ -341,8 +343,9 @@ def _nth_marked(marked: np.ndarray, nth: np.ndarray) -> np.ndarray:
     """Per row of the 2-D ``marked``, the index of its marked entry of rank
     ``nth`` (from 0) in index order; every row must have more than ``nth``
     marked entries.  The rows' marked indices are listed row after row, so
-    row j's lie at offsets [start_j, start_j + T_j) of that list."""
-    cols = np.nonzero(marked)[1]
+    row j's lie at offsets [start_j, start_j + T_j) of that list (a flat
+    scan: a 2-D ``nonzero`` took 7x longer on 2000 x 4095 masks)."""
+    cols = np.flatnonzero(marked) % marked.shape[1]
     tcount = np.count_nonzero(marked, axis=1)
     return cols[np.cumsum(tcount) - tcount + nth]
 
@@ -554,15 +557,15 @@ def kth_smallest(
     The k-th search's value is the k-th order statistic; ties beyond the k-th
     rank are resolved downstream by the <=-threshold neighborhood predicate.
     k may equal the domain size (callers that exclude the query point pass
-    the m-1 other candidates and k up to m-1).  Each search is a
-    :func:`quantum_min` of the row with its found indices set to +inf.
+    the m-1 other candidates and k up to m-1).  Each search draws what a
+    :func:`quantum_min` call on the row with its found indices set to +inf
+    would: the row is sorted once, and a found index moves to the end of
+    the sort order, among the found in index order, which is that masked
+    row's stable sort order.  The values must be finite.
 
     A 2-D ``values`` holds one domain per row, searched row after row; the
     result then holds arrays: one value and one query count per row, and an
-    (n, k) array of indices.  A 1-D call is the one-row case.  Each row is
-    sorted once; a found index moves to the end of the sort order, among
-    the found in index order, which is the stable sort order of the row with
-    its found indices set to +inf.  The values must be finite.  The ledger is
+    (n, k) array of indices.  A 1-D call is the one-row case.  The ledger is
     charged once, with the queries of every row.
     """
     values = np.asarray(values, dtype=float)
@@ -571,6 +574,8 @@ def kth_smallest(
     m = values.shape[-1]
     if not 1 <= k <= m:
         raise ValueError(f"k={k} outside [1, {m}]")
+    if boost < 1:
+        raise ValueError("boost must be >= 1")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     rows = values.reshape(-1, m)
@@ -591,7 +596,7 @@ def kth_smallest(
         ledger.charge_many(charge, int(queries.sum()))
     if values.ndim == 2:
         return KthSmallestResult(value=kth, indices=found, queries=queries)
-    return KthSmallestResult(value=float(kth[0]), indices=found[0].tolist(), queries=int(queries[0]))
+    return KthSmallestResult(float(kth[0]), found[0].tolist(), int(queries[0]))
 
 
 # ---------------------------------------------------------------------------

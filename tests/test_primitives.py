@@ -299,7 +299,7 @@ def test_kth_smallest_matches_sort_oracle():
         assert math.isclose(res.value, float(np.sort(vals)[k - 1]))
 
 
-def masked_min_searches(values, k, rng, boost, ledger, charge):
+def masked_min_searches(values, k, rng, boost, budget, ledger, charge):
     """k-th smallest as k ``quantum_min`` calls, each on the row with its
     found indices set to +inf: the exclusion that ``kth_smallest`` keeps by
     moving found indices to the end of one sort order."""
@@ -307,7 +307,7 @@ def masked_min_searches(values, k, rng, boost, ledger, charge):
     found, total, value = [], 0, math.nan
     for _ in range(k):
         res = quantum_min(np.where(excluded, math.inf, values), rng, boost=boost,
-                          ledger=ledger, charge=charge)
+                          budget_multiplier=budget, ledger=ledger, charge=charge)
         found.append(res.index)
         excluded[res.index] = True
         total += res.queries
@@ -324,18 +324,23 @@ def search_rows(seed, m=12, n=6):
     return np.concatenate([g.random((n, m)), ties])
 
 
+@pytest.mark.parametrize("budget", [22.5, 0.5])
 @pytest.mark.parametrize("boost", [1, 5])
 @pytest.mark.parametrize("k", [1, 3, 11])
-def test_kth_smallest_rows_equal_per_row_calls_on_one_stream(k, boost):
+def test_kth_smallest_rows_equal_per_row_calls_on_one_stream(k, boost, budget):
+    # A budget of sqrt(m)/2 ends most searches after one round, often on a
+    # found index: the order of the found indices at the end of the sort
+    # order then decides which one.
     charge = {"v": 1, "w": 3}
     for seed in range(4):
         vals = search_rows(seed)
         rngs = [np.random.default_rng([seed, 9]) for _ in range(3)]
         leds = [QueryLedger() for _ in range(3)]
-        res = kth_smallest(vals, k, rngs[0], boost=boost, ledger=leds[0], charge=charge)
-        rows = [kth_smallest(row, k, rngs[1], boost=boost, ledger=leds[1], charge=charge)
-                for row in vals]
-        loops = [masked_min_searches(row, k, rngs[2], boost, leds[2], charge) for row in vals]
+        kw = dict(boost=boost, budget_multiplier=budget, charge=charge)
+        res = kth_smallest(vals, k, rngs[0], ledger=leds[0], **kw)
+        rows = [kth_smallest(row, k, rngs[1], ledger=leds[1], **kw) for row in vals]
+        loops = [masked_min_searches(row, k, rngs[2], boost, budget, leds[2], charge)
+                 for row in vals]
         assert res.value.tolist() == [r.value for r in rows] == [v for v, _, _ in loops]
         assert res.indices.tolist() == [r.indices for r in rows] == [f for _, f, _ in loops]
         assert res.queries.tolist() == [r.queries for r in rows] == [q for _, _, q in loops]
@@ -351,10 +356,15 @@ def test_kth_smallest_charges_once_per_call():
     assert calls == [int(res.queries.sum())]
 
 
-def test_kth_smallest_rejects_non_finite_values():
+def test_kth_smallest_rejects_bad_input():
+    rng = np.random.default_rng(0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            kth_smallest(np.array([1.0, bad, 2.0]), 1, np.random.default_rng(0))
+            kth_smallest(np.array([1.0, bad, 2.0]), 1, rng)
+    with pytest.raises(ValueError):
+        kth_smallest(np.ones(3), 1, rng, boost=0)
+    with pytest.raises(ValueError):
+        kth_smallest(np.ones((2, 2, 2)), 1, rng)
 
 
 # ---------------------------------------------------------------------------
