@@ -128,7 +128,7 @@ def test_exact_pair_rotation(benchmark):
         return (sv,), {}
 
     def rotate(sv):
-        controlled_value_rotation(sv, "j", "anc", scale=1.0, decode=lambda j: float(diffs[j]))
+        controlled_value_rotation(sv, "j", "anc", diffs, scale=1.0)
         return sv.probability("anc", 0)
 
     a = benchmark.pedantic(rotate, setup=fresh, rounds=200)

@@ -148,7 +148,10 @@ class RunConfig:
     amplitude estimations (distance, neighbor count, outlier factor); the
     corresponding angle errors are pi / 2**t.  ``backend`` selects full
     statevector state preparation ("exact") or analytic outcome-law sampling
-    with query accounting only ("ledger").
+    with query accounting only ("ledger").  ``min_boost`` is the number of
+    Durr-Hoyer passes per minimum search; each pass's query budget
+    (``primitives.BUDGET``) and each neighborhood's collection cap (its
+    count estimate plus two) are fixed, not knobs.
     """
 
     k: int = 3
@@ -160,17 +163,14 @@ class RunConfig:
     ae_repeats: int = 5
     fp_width: int = 16
     fp_frac: int = 12
-    shots: int = 64
     seed: int = 0
     min_boost: int = 5
-    budget_multiplier: float = 22.5
 
     def validate(self, m: int) -> None:
         if not 1 <= self.k <= m - 1:
             raise ConfigError(f"k={self.k} outside [1, m-1={m - 1}]")
-        for name in ("delta", "budget_multiplier"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        if not math.isfinite(self.delta):
+            raise ConfigError("delta must be finite")
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
         if self.fp_frac >= self.fp_width or self.fp_frac < 1:
@@ -182,14 +182,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.ae_repeats < 1 or self.ae_repeats % 2 == 0:
             raise ConfigError("ae_repeats must be a positive odd integer")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.min_boost < 1:
             raise ConfigError("min_boost must be >= 1")
-        if self.budget_multiplier <= 0:
-            raise ConfigError("budget_multiplier must be positive")
 
     @property
     def eps_dist(self) -> float:

@@ -29,11 +29,11 @@ outlier factors are each one :func:`amplitude_estimate` call,
 point order, each uniform mapped to one outcome by the staged-window
 sampler :func:`~qlof.primitives.ae_outcomes`.  The k-distance stage is one
 :func:`kth_smallest` call over every search row, drawing point by point; the
-ratio maximum is one :func:`quantum_min` call.  Collection draws across
-points: each of its invocations is one search over every point still
-collecting, one block of uniforms per point in point order
-(:func:`grover_search`); flagging is one such search per invocation over the
-outlier factors.  The exact backend's
+ratio maximum is one :func:`quantum_min` call, the k = 1 case of
+:func:`kth_smallest`.  Collection draws across points: each of its
+invocations is one search over every point still collecting, one block of
+uniforms per point in point order (:func:`grover_search`); flagging is one
+such search per invocation over the outlier factors.  The exact backend's
 statevector searches draw round by round, and it collects point by point.
 So a stage's draws do not depend on how another stage uses its stream.
 """
@@ -169,9 +169,7 @@ class QuantumLofPipeline:
         if self.config.backend == "exact":
             sv = StateVector([("j", max(1, math.ceil(math.log2(len(values))))), ("anc", 1)])
             prepare_uniform(sv, "j", len(values))
-            controlled_value_rotation(
-                sv, "j", "anc", scale=scale, decode=lambda jv: float(values[jv]), mode=mode
-            )
+            controlled_value_rotation(sv, "j", "anc", values, scale=scale, mode=mode)
             return sv.probability("anc", 0)
         return float(np.mean(values)) / scale
 
@@ -225,7 +223,6 @@ class QuantumLofPipeline:
             rows,
             cfg.k,
             self._rngs[_STREAM_KDIST],
-            budget_multiplier=cfg.budget_multiplier,
             boost=cfg.min_boost,
             ledger=self.ledger,
             charge=self._query_cost["step1.value_query"],
@@ -257,9 +254,9 @@ class QuantumLofPipeline:
         ``seed_found``.
 
         A row runs until a search confirms saturation; its ``expected``
-        count plus two (and the configured shot budget) caps its
-        invocations.  Returns (sorted row positions, saturation confirmed)
-        per row; one 1-D row with a scalar k-distance is the one-row case.
+        count plus two caps its invocations.  Returns (sorted row positions,
+        saturation confirmed) per row; one 1-D row with a scalar k-distance
+        is the one-row case.
         """
         cfg = self.config
         return grover_collect(
@@ -269,7 +266,6 @@ class QuantumLofPipeline:
             exact=(cfg.backend == "exact"),
             expected=expected,
             seed_found=seed_found,
-            max_invocations=cfg.shots,
             charge=self._query_cost["step1.pred_query"],
         )
 
@@ -292,10 +288,11 @@ class QuantumLofPipeline:
         for i, (row, kd, found, sat, count) in enumerate(
             zip(rows, kdist, collected, saturated, counts)
         ):
-            if not sat and len(found) < count:
+            if not sat:
                 self.warnings.append(
-                    f"point {i}: neighbor collection hit the cap at "
-                    f"{len(found)} of an estimated {count}"
+                    f"point {i}: neighbor collection stopped at its cap without "
+                    f"confirming saturation, {len(found)} members found of an "
+                    f"estimated {count}"
                 )
             if near[i]:
                 self.warnings.append(
@@ -372,8 +369,7 @@ class QuantumLofPipeline:
         miss (probability <= 2^-min_boost) makes :meth:`compute_lof_all` raise."""
         cfg = self.config
         return -quantum_min(
-            -np.concatenate(rhos), self._rngs[_STREAM_MAX_RATIO],
-            budget_multiplier=cfg.budget_multiplier, boost=cfg.min_boost,
+            -np.concatenate(rhos), self._rngs[_STREAM_MAX_RATIO], boost=cfg.min_boost,
             ledger=self.ledger, charge={"step3.max_ratio": 1},
         ).value
 

@@ -9,9 +9,10 @@ Four primitives drive the pipeline:
   number of solutions via the exponentially growing iteration schedule
   (Boyer-Brassard-Hoyer-Tapp), and collection of every solution by repeated
   search with exclusion.
-* :func:`quantum_min` / :func:`kth_smallest` -- Durr-Hoyer minimum finding
-  under a fixed 22.5*sqrt(m) query budget, and k successive minimum searches
-  with exclusion for the k-th order statistic.
+* :func:`kth_smallest` / :func:`quantum_min` -- k successive Durr-Hoyer
+  minimum searches with exclusion, each under a fixed ``BUDGET * sqrt(m)``
+  query budget, for the k-th order statistic; minimum finding is the k = 1
+  case.
 * :func:`quantum_count` -- amplitude estimation of a membership predicate,
   returning m * sin^2(pi*y/2^t).
 
@@ -67,6 +68,7 @@ from .qsim import (
 
 GROWTH = 6.0 / 5.0  # BBHT schedule factor
 EXTRA_ROUNDS = 60  # rounds allowed after the schedule saturates at sqrt(m)
+BUDGET = 22.5  # Durr-Hoyer queries per search, in units of sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -395,7 +397,6 @@ def grover_collect(
     exact: bool = False,
     expected: int | Sequence[int] | None = None,
     seed_found: Sequence[int] | Sequence[Sequence[int]] | None = None,
-    max_invocations: int | None = None,
     charge: Mapping[str, int] = MappingProxyType({"pred": 1}),
 ) -> tuple[list[int], bool] | tuple[list[list[int]], list[bool]]:
     """Collect all marked indices by repeated search with exclusion.
@@ -422,8 +423,6 @@ def grover_collect(
             found[i, list(seeds)] = True
     cap = m + 2 if expected is None else np.maximum(np.asarray(expected) + 2, 1)
     cap = np.broadcast_to(cap, n)
-    if max_invocations is not None:
-        cap = np.minimum(cap, max_invocations)
     saturated = np.zeros(n, dtype=bool)
     for group in np.arange(n).reshape(-1, 1) if exact else [np.arange(n)]:
         active = group
@@ -487,55 +486,6 @@ def _dh_single(
     return best_i, best_v, queries
 
 
-def quantum_min(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    budget_multiplier: float = 22.5,
-    boost: int = 1,
-    ledger: QueryLedger | None = None,
-    charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
-) -> MinResult:
-    """Find an argmin of ``values`` in O(sqrt(m)) value queries.
-
-    Runs the Durr-Hoyer threshold descent for a fixed budget of
-    ``budget_multiplier * sqrt(m)`` queries (success >= 1/2 at the canonical
-    multiplier, empirically much higher), repeated ``boost`` times keeping the
-    best candidate, which lifts the success floor to 1 - 2^-boost.
-    """
-    values = np.asarray(values, dtype=float)
-    m = values.size
-    if m < 1:
-        raise ValueError("domain must contain at least one element")
-    if boost < 1:
-        raise ValueError("boost must be >= 1")
-    order = np.argsort(values, kind="stable")
-    budget = math.ceil(budget_multiplier * math.sqrt(m))
-    best_i, best_v, total = _dh_boosted(values, order, rng, budget, boost)
-    if ledger is not None:
-        ledger.charge_many(charge, total)
-    return MinResult(index=best_i, value=best_v, queries=total)
-
-
-def _dh_boosted(
-    values: np.ndarray,
-    order: np.ndarray,
-    rng: np.random.Generator,
-    budget: int,
-    boost: int,
-) -> tuple[int, float, int]:
-    """``boost`` Durr-Hoyer passes over ``values``, whose stable sort order
-    is ``order``, keeping the least (value, index).  Returns (index, value,
-    queries of every pass)."""
-    sorted_vals = values[order]
-    best_i, best_v, total = -1, math.inf, 0
-    for _ in range(boost):
-        i, v, q = _dh_single(values, order, sorted_vals, rng, budget)
-        total += q
-        if (v, i) < (best_v, best_i) or best_i < 0:
-            best_i, best_v = i, v
-    return best_i, best_v, total
-
-
 @dataclass(frozen=True)
 class KthSmallestResult:
     value: float | np.ndarray
@@ -547,21 +497,24 @@ def kth_smallest(
     values: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    budget_multiplier: float = 22.5,
     boost: int = 1,
     ledger: QueryLedger | None = None,
     charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
 ) -> KthSmallestResult:
     """k successive minimum searches, each excluding the indices already found.
 
-    The k-th search's value is the k-th order statistic; ties beyond the k-th
+    Each search is ``boost`` Durr-Hoyer passes, every pass a threshold
+    descent under a fixed budget of ``BUDGET * sqrt(m)`` queries (success
+    >= 1/2, empirically much higher), keeping the least (value, index) of
+    its passes, which lifts the success floor to 1 - 2^-boost.  The k-th
+    search's value is the k-th order statistic; ties beyond the k-th
     rank are resolved downstream by the <=-threshold neighborhood predicate.
     k may equal the domain size (callers that exclude the query point pass
     the m-1 other candidates and k up to m-1).  Each search draws what a
-    :func:`quantum_min` call on the row with its found indices set to +inf
-    would: the row is sorted once, and a found index moves to the end of
-    the sort order, among the found in index order, which is that masked
-    row's stable sort order.  The values must be finite.
+    search of the row with its found indices set to +inf would: the row is
+    sorted once, and a found index moves to the end of the sort order,
+    among the found in index order, which is that masked row's stable sort
+    order.  The values must be finite.
 
     A 2-D ``values`` holds one domain per row, searched row after row; the
     result then holds arrays: one value and one query count per row, and an
@@ -579,24 +532,42 @@ def kth_smallest(
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     rows = values.reshape(-1, m)
-    budget = math.ceil(budget_multiplier * math.sqrt(m))
+    budget = math.ceil(BUDGET * math.sqrt(m))
     found = np.empty((rows.shape[0], k), dtype=np.int64)
     kth = np.empty(rows.shape[0])
     queries = np.zeros(rows.shape[0], dtype=np.int64)
     for n, (row, keep) in enumerate(zip(rows, np.argsort(rows, axis=1, kind="stable"))):
         masked, order = row.copy(), keep
         for j in range(k):
-            i, kth[n], q = _dh_boosted(masked, order, rng, budget, boost)
-            found[n, j] = i
-            queries[n] += q
-            masked[i] = math.inf
-            keep = keep[keep != i]
+            sorted_vals = masked[order]
+            best_i, best_v = -1, math.inf
+            for _ in range(boost):
+                i, v, q = _dh_single(masked, order, sorted_vals, rng, budget)
+                queries[n] += q
+                if (v, i) < (best_v, best_i) or best_i < 0:
+                    best_i, best_v = i, v
+            found[n, j], kth[n] = best_i, best_v
+            masked[best_i] = math.inf
+            keep = keep[keep != best_i]
             order = np.concatenate((keep, np.flatnonzero(masked == math.inf)))
     if ledger is not None:
         ledger.charge_many(charge, int(queries.sum()))
     if values.ndim == 2:
         return KthSmallestResult(value=kth, indices=found, queries=queries)
     return KthSmallestResult(float(kth[0]), found[0].tolist(), int(queries[0]))
+
+
+def quantum_min(
+    values: np.ndarray,
+    rng: np.random.Generator,
+    boost: int = 1,
+    ledger: QueryLedger | None = None,
+    charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
+) -> MinResult:
+    """Find an argmin of the 1-D ``values`` in O(sqrt(m)) value queries: the
+    k = 1 case of :func:`kth_smallest`, with the same draws."""
+    res = kth_smallest(values, 1, rng, boost=boost, ledger=ledger, charge=charge)
+    return MinResult(index=res.indices[0], value=res.value, queries=res.queries)
 
 
 # ---------------------------------------------------------------------------

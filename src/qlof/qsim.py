@@ -186,17 +186,18 @@ def controlled_value_rotation(
     sv: StateVector,
     value_reg: str,
     ancilla: str,
+    values: Sequence[float] | np.ndarray,
     scale: float,
-    decode: Callable[[int], float] | None = None,
     mode: str = "linear",
 ) -> StateVector:
     """Rotate the ancilla by an amplitude derived from the value register.
 
-    Per basis value v (decoded to a real), the ancilla |0> becomes
-    c|0> + sqrt(1-c^2)|1> with c = v/scale in linear mode or sqrt(v/scale) in
-    sqrt mode.  Only values carried by populated branches are validated, so
-    padding values of the register never trip the range check.  The ancilla
-    must start in |0>.
+    ``values[j]`` is the real value v of the register's basis state j.  Per
+    basis state, the ancilla |0> becomes c|0> + sqrt(1-c^2)|1> with
+    c = v/scale in linear mode or sqrt(v/scale) in sqrt mode.  Only the
+    values of populated branches are read and validated, so ``values`` may
+    stop short of the register's padding states, whose values never trip
+    the range check.  The ancilla must start in |0>.
     """
     if mode not in ("linear", "sqrt"):
         raise QsimError(f"unknown rotation mode {mode!r}")
@@ -208,8 +209,6 @@ def controlled_value_rotation(
     if value_reg == ancilla:
         raise RegisterOverlapError("value register and ancilla overlap")
     vreg = sv.reg(value_reg)
-    if decode is None:
-        decode = float
 
     anc_bit = (np.arange(sv.amps.size) >> anc.offset) & 1
     if np.any(np.abs(sv.amps[anc_bit == 1]) > 0):
@@ -217,20 +216,21 @@ def controlled_value_rotation(
 
     vals = sv.values(value_reg)
     populated = np.unique(vals[np.abs(sv.amps) > 0])
+    v = np.asarray(values, dtype=float)[populated]
+    c = v / scale
+    if mode == "sqrt":
+        negative = c < -1e-12
+        if negative.any():
+            raise ValueRangeError(f"sqrt rotation needs v >= 0, got {v[negative][0]}")
+        c = np.sqrt(np.maximum(c, 0.0))
+    over = np.flatnonzero(np.abs(c) > 1.0 + 1e-12)
+    if over.size:
+        raise ValueRangeError(
+            f"|amplitude| {abs(c[over[0]])} > 1 for register value "
+            f"{populated[over[0]]} (scale {scale})"
+        )
     c_table = np.zeros(vreg.dim)
-    for v in populated:
-        x = decode(int(v)) / scale
-        if mode == "sqrt":
-            if x < -1e-12:
-                raise ValueRangeError(f"sqrt rotation needs v >= 0, got {decode(int(v))}")
-            c = math.sqrt(max(x, 0.0))
-        else:
-            c = x
-        if abs(c) > 1.0 + 1e-12:
-            raise ValueRangeError(
-                f"|amplitude| {abs(c)} > 1 for register value {int(v)} (scale {scale})"
-            )
-        c_table[v] = min(max(c, -1.0), 1.0)
+    c_table[populated] = np.clip(c, -1.0, 1.0)
     s_table = np.sqrt(np.clip(1.0 - c_table**2, 0.0, 1.0))
 
     zero_idx = np.nonzero(anc_bit == 0)[0]

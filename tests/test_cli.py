@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -19,6 +21,7 @@ from qlof.cli import (
     EXIT_OVERFLOW,
     EXIT_RATIO_BOUND,
     SCALE_DEFAULTS,
+    _add_config_flags,
     _config_from_args,
     build_parser,
     main,
@@ -134,8 +137,6 @@ def test_internal_simulator_error_exit(toy_csv, tmp_path, capsys, monkeypatch, e
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compare", "--budget-multiplier", "nan"],
-        ["compare", "--budget-multiplier", "inf"],
         ["compare", "--delta", "inf"],
         ["compare", "--delta", "nan"],
         ["classical", "--delta", "nan"],
@@ -159,6 +160,18 @@ def test_config_flags_derive_from_run_config(toy_csv, tmp_path):
     assert main(["compare", str(toy_csv), "--k", "2", "--out", str(tmp_path)]) == EXIT_OK
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
     assert set(config) == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_knobs_are_the_config_flags():
+    # The README's knob paragraph, up to its ``plus `--out`.``, names every
+    # flag the CLI derives from RunConfig and no other.
+    sp = argparse.ArgumentParser()
+    _add_config_flags(sp)
+    derived = set(re.findall(r"\[(--[a-z-]+)", sp.format_usage()))
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    knobs = readme[readme.index("Knobs of `quantum`"):]
+    named = re.findall(r"`(--[a-z-]+)", knobs[:knobs.index("plus `--out`.") + len("plus `--out`")])
+    assert sorted(named) == sorted(derived)
 
 
 def test_compare_toy_matches(toy_csv, tmp_path):

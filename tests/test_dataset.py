@@ -131,12 +131,9 @@ def test_run_config_validation():
         RunConfig(k=2, ae_repeats=2).validate(4)
     with pytest.raises(ConfigError):
         RunConfig(k=2, backend="other").validate(4)
-    for knob in ("delta", "budget_multiplier"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ConfigError, match=knob):
-                RunConfig(k=2, **{knob: bad}).validate(4)
-    with pytest.raises(ConfigError):
-        RunConfig(k=2, budget_multiplier=0.0).validate(4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="delta"):
+            RunConfig(k=2, delta=bad).validate(4)
 
 
 def test_eps_properties():

@@ -86,9 +86,7 @@ def test_distance_preparer_full_qpe_route():
     def preparer():
         sv = StateVector([("j", 2), ("anc", 1)])
         prepare_uniform(sv, "j", ds.n)
-        controlled_value_rotation(
-            sv, "j", "anc", scale=ds.c_norm, decode=lambda jv: float(diffs[jv])
-        )
+        controlled_value_rotation(sv, "j", "anc", diffs, scale=ds.c_norm)
         return sv
 
     op = grover_operator(preparer, ("anc", 0))
@@ -111,17 +109,12 @@ def test_rotation_shortcut_equals_value_register_pipeline():
     full = StateVector([("j", 2), ("val", w), ("anc", 1)])
     prepare_uniform(full, "j", 3)
     apply_oracle(full, lambda j: bits[j] if j < 3 else 0, "j", "val")
-    controlled_value_rotation(
-        full, "val", "anc", scale=scale, decode=lambda b: b / (1 << f)
-    )
+    controlled_value_rotation(full, "val", "anc", np.arange(1 << w) / (1 << f), scale=scale)
     apply_oracle(full, lambda j: bits[j] if j < 3 else 0, "j", "val")
 
     short = StateVector([("j", 2), ("anc", 1)])
     prepare_uniform(short, "j", 3)
-    controlled_value_rotation(
-        short, "j", "anc",
-        scale=scale, decode=lambda j: bits[j] / (1 << f) if j < 3 else 0.0,
-    )
+    controlled_value_rotation(short, "j", "anc", [b / (1 << f) for b in bits], scale=scale)
 
     assert full.probability("val", 0) == pytest.approx(1.0)  # uncomputed
     marg_full = full.probabilities("anc")
@@ -193,6 +186,31 @@ def test_count_and_collect_consistency():
     assert est.count.tolist() == [2]
     found, saturated = pipe.find_neighbors(rows[3], kdist, expected=2, seed_found=seeds)
     assert points[3, found].tolist() == [1, 2] and saturated
+
+
+def test_collection_cap_warns_on_every_unsaturated_row(monkeypatch):
+    # Zero count estimates cap collection at two invocations past the k
+    # seeds.  At t_dist 4 the estimates tie on the AE grid, so many rows hold
+    # more members than that and stop unsaturated; each must be reported.
+    from qlof.primitives import CountEstimate
+    from qlof.synthetic import gaussian_clusters
+
+    def no_count(self, rows, kdist):
+        return CountEstimate(np.zeros(len(rows), dtype=int), np.zeros(len(rows)), 0)
+
+    monkeypatch.setattr(QuantumLofPipeline, "count_neighbors", no_count)
+    ds = gaussian_clusters(24, 2, np.random.default_rng(1))
+    pipe = QuantumLofPipeline(ds, cfg(k=3, backend="ledger", ae_qubits_dist=4, seed=1))
+    table = pipe.build_neighborhood_table()
+    rows, _ = off_diagonal(pipe.distance_estimates())
+    held = np.count_nonzero(rows <= np.array([r.kdist for r in table.rows])[:, None], axis=1)
+    short = [i for i, row in enumerate(table.rows) if row.count < held[i]]
+    assert short
+    for i in short:
+        assert (
+            f"point {i}: neighbor collection stopped at its cap without confirming "
+            f"saturation, {table.rows[i].count} members found of an estimated 0"
+        ) in pipe.warnings
 
 
 def test_build_table_matches_classical_sets_under_margin():

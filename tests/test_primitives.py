@@ -299,19 +299,27 @@ def test_kth_smallest_matches_sort_oracle():
         assert math.isclose(res.value, float(np.sort(vals)[k - 1]))
 
 
-def masked_min_searches(values, k, rng, boost, budget, ledger, charge):
-    """k-th smallest as k ``quantum_min`` calls, each on the row with its
-    found indices set to +inf: the exclusion that ``kth_smallest`` keeps by
-    moving found indices to the end of one sort order."""
+def masked_min_searches(values, k, rng, boost, ledger, charge):
+    """k-th smallest as k searches, each ``boost`` Durr-Hoyer passes over the
+    row with its found indices set to +inf and sorted afresh: the exclusion
+    that ``kth_smallest`` keeps by moving found indices to the end of one
+    sort order."""
+    budget = math.ceil(primitives.BUDGET * math.sqrt(values.size))
     excluded = np.zeros(values.size, dtype=bool)
     found, total, value = [], 0, math.nan
     for _ in range(k):
-        res = quantum_min(np.where(excluded, math.inf, values), rng, boost=boost,
-                          budget_multiplier=budget, ledger=ledger, charge=charge)
-        found.append(res.index)
-        excluded[res.index] = True
-        total += res.queries
-        value = res.value
+        masked = np.where(excluded, math.inf, values)
+        order = np.argsort(masked, kind="stable")
+        best_i, value = -1, math.inf
+        for _ in range(boost):
+            i, v, q = primitives._dh_single(masked, order, masked[order], rng, budget)
+            total += q
+            if (v, i) < (value, best_i) or best_i < 0:
+                best_i, value = i, v
+        found.append(best_i)
+        excluded[best_i] = True
+    if ledger is not None:
+        ledger.charge_many(charge, total)
     return value, found, total
 
 
@@ -327,25 +335,40 @@ def search_rows(seed, m=12, n=6):
 @pytest.mark.parametrize("budget", [22.5, 0.5])
 @pytest.mark.parametrize("boost", [1, 5])
 @pytest.mark.parametrize("k", [1, 3, 11])
-def test_kth_smallest_rows_equal_per_row_calls_on_one_stream(k, boost, budget):
+def test_kth_smallest_rows_equal_per_row_calls_on_one_stream(k, boost, budget, monkeypatch):
     # A budget of sqrt(m)/2 ends most searches after one round, often on a
     # found index: the order of the found indices at the end of the sort
     # order then decides which one.
+    monkeypatch.setattr(primitives, "BUDGET", budget)
     charge = {"v": 1, "w": 3}
     for seed in range(4):
         vals = search_rows(seed)
         rngs = [np.random.default_rng([seed, 9]) for _ in range(3)]
         leds = [QueryLedger() for _ in range(3)]
-        kw = dict(boost=boost, budget_multiplier=budget, charge=charge)
+        kw = dict(boost=boost, charge=charge)
         res = kth_smallest(vals, k, rngs[0], ledger=leds[0], **kw)
         rows = [kth_smallest(row, k, rngs[1], ledger=leds[1], **kw) for row in vals]
-        loops = [masked_min_searches(row, k, rngs[2], boost, budget, leds[2], charge)
-                 for row in vals]
+        loops = [masked_min_searches(row, k, rngs[2], boost, leds[2], charge) for row in vals]
         assert res.value.tolist() == [r.value for r in rows] == [v for v, _, _ in loops]
         assert res.indices.tolist() == [r.indices for r in rows] == [f for _, f, _ in loops]
         assert res.queries.tolist() == [r.queries for r in rows] == [q for _, _, q in loops]
         assert leds[0].as_dict() == leds[1].as_dict() == leds[2].as_dict()
         assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+@pytest.mark.parametrize("boost", [1, 5])
+def test_quantum_min_is_kth_smallest_at_k_1(boost):
+    charge = {"v": 1, "w": 3}
+    for seed in range(4):
+        for row in search_rows(seed, m=13):
+            rng, twin = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+            led, twin_led = QueryLedger(), QueryLedger()
+            got = quantum_min(row, rng, boost=boost, ledger=led, charge=charge)
+            ref = kth_smallest(row, 1, twin, boost=boost, ledger=twin_led, charge=charge)
+            assert (got.index, got.value, got.queries) == (ref.indices[0], ref.value, ref.queries)
+            assert type(got.index) is int and type(got.value) is float
+            assert led.as_dict() == twin_led.as_dict()
+            assert rng.random() == twin.random()
 
 
 def test_kth_smallest_charges_once_per_call():

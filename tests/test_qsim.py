@@ -76,15 +76,18 @@ def test_apply_oracle_range_check():
         apply_oracle(sv, lambda x: 2, "x", "y")
 
 
+VALUES = np.arange(4.0)  # a value register read as the integer it holds
+
+
 def test_rotation_extremes():
     sv = StateVector([("v", 2), ("anc", 1)])
-    controlled_value_rotation(sv, "v", "anc", scale=4.0)  # v = 0 everywhere
+    controlled_value_rotation(sv, "v", "anc", VALUES, scale=4.0)  # v = 0 everywhere
     assert math.isclose(sv.probability("anc", 1), 1.0)
 
     sv = StateVector([("v", 2), ("anc", 1)])
     sv.amps[:] = 0.0
     sv.amps[3] = 1.0  # v = 3
-    controlled_value_rotation(sv, "v", "anc", scale=3.0)  # v = scale stays |0>
+    controlled_value_rotation(sv, "v", "anc", VALUES, scale=3.0)  # v = scale stays |0>
     assert math.isclose(sv.probability("anc", 0), 1.0)
 
 
@@ -92,14 +95,14 @@ def test_rotation_uniform_example():
     # Uniform over {0..3}, scale 4, linear: P(anc=0) = (0+1+4+9)/64
     sv = StateVector([("v", 2), ("anc", 1)])
     prepare_uniform(sv, "v", 4)
-    controlled_value_rotation(sv, "v", "anc", scale=4.0)
+    controlled_value_rotation(sv, "v", "anc", VALUES, scale=4.0)
     assert math.isclose(sv.probability("anc", 0), 14.0 / 64.0)
 
 
 def test_rotation_sqrt_mode():
     sv = StateVector([("v", 2), ("anc", 1)])
     prepare_uniform(sv, "v", 4)
-    controlled_value_rotation(sv, "v", "anc", scale=4.0, mode="sqrt")
+    controlled_value_rotation(sv, "v", "anc", VALUES, scale=4.0, mode="sqrt")
     # P(anc=0) = mean(v/4) = (0+1+2+3)/16
     assert math.isclose(sv.probability("anc", 0), 6.0 / 16.0)
 
@@ -109,20 +112,24 @@ def test_rotation_range_error_and_padding_skip():
     sv.amps[:] = 0.0
     sv.amps[2] = 1.0
     with pytest.raises(ValueRangeError):
-        controlled_value_rotation(sv, "v", "anc", scale=1.0)
-    # Unpopulated huge values are ignored: only v=1 is occupied here.
-    sv2 = StateVector([("v", 2), ("anc", 1)])
-    prepare_uniform(sv2, "v", 2)
-    controlled_value_rotation(sv2, "v", "anc", scale=1.0)
-    assert math.isclose(sv2.probability("anc", 0), 0.5)
+        controlled_value_rotation(sv, "v", "anc", VALUES, scale=1.0)
+    with pytest.raises(ValueRangeError, match="v >= 0"):
+        controlled_value_rotation(sv, "v", "anc", -VALUES, scale=1.0, mode="sqrt")
+    # Unpopulated huge values are ignored: only v in {0, 1} is occupied
+    # here, and a values array may stop short of the padding states.
+    for values in ([0.0, 1.0, 50.0, -50.0], [0.0, 1.0]):
+        sv2 = StateVector([("v", 2), ("anc", 1)])
+        prepare_uniform(sv2, "v", 2)
+        controlled_value_rotation(sv2, "v", "anc", values, scale=1.0)
+        assert math.isclose(sv2.probability("anc", 0), 0.5)
 
 
 def test_rotation_requires_fresh_ancilla():
     sv = StateVector([("v", 1), ("anc", 1)])
-    controlled_value_rotation(sv, "v", "anc", scale=2.0)
+    controlled_value_rotation(sv, "v", "anc", VALUES, scale=2.0)
     sv.amps[:] = [0.0, 0.0, 0.0, 1.0]
     with pytest.raises(QsimError):
-        controlled_value_rotation(sv, "v", "anc", scale=2.0)
+        controlled_value_rotation(sv, "v", "anc", VALUES, scale=2.0)
 
 
 def _amp_preparer(a: float):
