@@ -163,15 +163,14 @@ def test_config_flags_derive_from_run_config(toy_csv, tmp_path):
 
 
 def test_readme_knobs_are_the_config_flags():
-    # The README's knob paragraph, up to its ``plus `--out`.``, names every
-    # flag the CLI derives from RunConfig and no other.
+    # The README's knob paragraph, up to the flags of ``classical``, names
+    # every flag the CLI derives from RunConfig, plus ``--out``, and no other.
     sp = argparse.ArgumentParser()
     _add_config_flags(sp)
-    derived = set(re.findall(r"\[(--[a-z-]+)", sp.format_usage()))
+    derived = re.findall(r"\[(--[a-z-]+)", sp.format_usage())
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    knobs = readme[readme.index("Knobs of `quantum`"):]
-    named = re.findall(r"`(--[a-z-]+)", knobs[:knobs.index("plus `--out`.") + len("plus `--out`")])
-    assert sorted(named) == sorted(derived)
+    knobs = readme[readme.index("Knobs of `quantum`"):readme.index("`classical` takes")]
+    assert sorted(re.findall(r"`(--[a-z-]+)", knobs)) == sorted(derived)
 
 
 def test_compare_toy_matches(toy_csv, tmp_path):

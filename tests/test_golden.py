@@ -19,8 +19,8 @@ step 3's ratio-maximum search, one ``quantum_min`` call, the k = 1 case of
 ``kth_smallest``, over every (point, neighbor) density ratio in point, then
 neighbor order), with step 1's pairs drawn in upper-triangle row order, and
 the k-distance stage one ``kth_smallest`` call over every point's row in
-point order; the map from
-uniforms to outcomes of ``primitives.ae_outcomes``, the staged-window
+point order; the map from uniforms to outcomes of
+``primitives.ae_outcomes``, the staged-window
 sampler (one uniform per draw: its half picks the +-theta kernel, the rest
 inverts that kernel over the peak's two outcomes or, past their mass, over
 each wider window of ``primitives._STAGES`` less the one before it, and
