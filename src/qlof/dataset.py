@@ -111,8 +111,8 @@ def load_csv(path: str) -> Dataset:
     return from_points(np.array(rows, dtype=float))
 
 
-# Difference entries per row block of ``raw_distance_matrix`` (2 MB).
-_DIST_BLOCK = 1 << 18
+# Difference entries per row block of ``raw_distance_matrix`` (512 kB).
+_DIST_BLOCK = 1 << 16
 
 
 def raw_distance_matrix(ds: Dataset | np.ndarray) -> np.ndarray:
@@ -126,13 +126,16 @@ def raw_distance_matrix(ds: Dataset | np.ndarray) -> np.ndarray:
     for lo in range(0, m, step):
         diff = pts[lo : lo + step, None, :] - pts[None, :, :]
         diff *= diff
-        out[lo : lo + step] = np.sqrt(np.sum(diff, axis=2))
+        block = out[lo : lo + step]
+        np.sqrt(np.sum(diff, axis=2, out=block), out=block)
     return out
 
 
 def normalized_distance_matrix(ds: Dataset) -> np.ndarray:
     """d-bar(i, t) = ||x^i - x^t|| / (sqrt(n) * c_norm) for every pair, in [0, 1]."""
-    return raw_distance_matrix(ds) / (math.sqrt(ds.n) * ds.c_norm)
+    out = raw_distance_matrix(ds)
+    out /= math.sqrt(ds.n) * ds.c_norm
+    return out
 
 
 BACKENDS = ("exact", "ledger")

@@ -105,13 +105,18 @@ class LofReport:
         }
 
 
-def off_diagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def off_diagonal(mat: np.ndarray) -> np.ndarray:
     """Each point's distances to the m-1 others, as the (m, m-1) rows of
-    ``mat`` without its diagonal, and the point index of every entry (row i
-    lists the points 0..m-1 but i, in order)."""
+    ``mat`` without its diagonal: row i lists the points 0..m-1 but i, in
+    order (:func:`row_points`)."""
     m = mat.shape[0]
-    off = ~np.eye(m, dtype=bool)
-    return mat[off].reshape(m, m - 1), np.nonzero(off)[1].reshape(m, m - 1)
+    return mat[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
+def row_points(i: int, positions: np.ndarray) -> np.ndarray:
+    """The points at the integer ``positions`` of row i of
+    :func:`off_diagonal`: position j holds point j + (j >= i)."""
+    return positions + (positions >= i)
 
 
 def build_table(ds: Dataset, k: int, dmat: np.ndarray | None = None) -> NeighborhoodTable:
@@ -122,12 +127,16 @@ def build_table(ds: Dataset, k: int, dmat: np.ndarray | None = None) -> Neighbor
         raise ValueError(f"k={k} outside [1, m-1={ds.m - 1}]")
     if dmat is None:
         dmat = normalized_distance_matrix(ds)
-    dists, points = off_diagonal(dmat)
-    kdist = np.sort(dists, axis=1)[:, k - 1]
+    dists = off_diagonal(dmat)
+    kdist = np.partition(dists, k - 1, axis=1)[:, k - 1]
     within = dists <= kdist[:, None]
     rows = [
-        NeighborRow(kdist=float(kd), neighbors=pts[inside].tolist(), dists=d[inside].tolist())
-        for kd, d, pts, inside in zip(kdist, dists, points, within)
+        NeighborRow(
+            kdist=float(kd),
+            neighbors=row_points(i, np.flatnonzero(inside)).tolist(),
+            dists=d[inside].tolist(),
+        )
+        for i, (kd, d, inside) in enumerate(zip(kdist, dists, within))
     ]
     return NeighborhoodTable(rows=rows, k=k)
 

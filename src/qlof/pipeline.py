@@ -10,8 +10,9 @@ over E into rotation amplitudes, amplitude-estimates each point's outlier
 factor, and Grover-searches the flagged indices.
 
 Backends: "exact" prepares real statevectors for every rotation and runs
-statevector Grover iterations; "ledger" computes the same amplitudes
-classically and samples outcomes from the identical closed-form laws.  Both
+statevector Grover iterations, which give the Durr-Hoyer searches their hit
+law once per threshold; "ledger" computes the same amplitudes classically
+and samples outcomes from the identical closed-form laws.  Both
 charge the query ledger under the parallel-circuit convention: step-1 work is
 charged per point, step-2 arithmetic and the step-3 amplitude estimation once
 per run (they act on the index superposition), step-3 Grover per iteration.
@@ -34,7 +35,9 @@ ratio maximum is one :func:`quantum_min` call, the k = 1 case of
 invocations is one search over every point still collecting, one block of
 uniforms per point in point order (:func:`grover_search`); flagging is one
 such search per invocation over the outlier factors.  The exact backend's
-statevector searches draw round by round, and it collects point by point.
+statevector searches draw round by round, and it collects point by point;
+its Durr-Hoyer searches draw as the ledger's do, each threshold's hit law
+read from a statevector.
 So a stage's draws do not depend on how another stage uses its stream.
 """
 
@@ -54,7 +57,13 @@ from .dataset import (
 )
 from .fixedpoint import FixedPoint, encode, q_div, q_max, q_mul_add, zero
 from .ledger import QueryLedger
-from .lof import NeighborhoodTable, NeighborRow, flag as classical_flag, off_diagonal
+from .lof import (
+    NeighborhoodTable,
+    NeighborRow,
+    flag as classical_flag,
+    off_diagonal,
+    row_points,
+)
 from .primitives import (
     CountEstimate,
     ae_queries,
@@ -199,15 +208,15 @@ class QuantumLofPipeline:
         if self._dist_hat is None:
             m = self.ds.m
             cfg = self.config
-            iu, ju = np.triu_indices(m, 1)
             est = amplitude_estimate(
-                self._pair_probabilities(iu, ju),
+                self._pair_probabilities(*np.triu_indices(m, 1)),
                 cfg.ae_qubits_dist,
                 self._rngs[_STREAM_DIST],
                 repeats=cfg.ae_repeats,
             )
             mat = np.zeros((m, m))
-            mat[iu, ju] = mat[ju, iu] = np.sqrt(est.a_hat)
+            upper = ~np.tri(m, dtype=bool)  # the pairs i < t, in row order
+            mat[upper] = mat.T[upper] = np.sqrt(est.a_hat)
             self.ledger.charge_many(self._dist_eval_cost, m * cfg.ae_repeats)
             self._dist_hat = mat
         return self._dist_hat
@@ -225,6 +234,7 @@ class QuantumLofPipeline:
             self._rngs[_STREAM_KDIST],
             boost=cfg.min_boost,
             ledger=self.ledger,
+            exact=(cfg.backend == "exact"),
             charge=self._query_cost["step1.value_query"],
         )
         return res.value, res.indices
@@ -273,7 +283,7 @@ class QuantumLofPipeline:
         """Step 1 end to end for every point: the k-distance searches, then
         one counting call and one collection call over all search rows."""
         eps1 = self.config.eps_dist
-        rows, points = off_diagonal(self.distance_estimates())
+        rows = off_diagonal(self.distance_estimates())
         kdist, seeds = self.find_k_distance(rows)
         counts = self.count_neighbors(rows, kdist).count.tolist()
         collected, saturated = self.find_neighbors(
@@ -283,7 +293,10 @@ class QuantumLofPipeline:
         # the threshold and the estimate itself is eps_dist off, so the
         # observable symptom spans two grid cells around the threshold.
         kd = kdist[:, None]
-        near = ((np.abs(rows - kd) <= 2.0 * eps1) & (rows != kd)).any(axis=1).tolist()
+        gap = rows - kd  # in place, and freed before the table is built
+        np.abs(gap, out=gap)
+        near = ((gap <= 2.0 * eps1) & (rows != kd)).any(axis=1).tolist()
+        del gap
         table = []
         for i, (row, kd, found, sat, count) in enumerate(
             zip(rows, kdist, collected, saturated, counts)
@@ -300,7 +313,7 @@ class QuantumLofPipeline:
                     f"threshold; membership may differ from the classical "
                     f"neighborhood"
                 )
-            neighbors = points[i, found].tolist()
+            neighbors = row_points(i, np.array(found, dtype=np.int64)).tolist()
             table.append(NeighborRow(float(kd), neighbors, row[found].tolist()))
         return NeighborhoodTable(rows=table, k=self.config.k)
 
@@ -370,7 +383,7 @@ class QuantumLofPipeline:
         cfg = self.config
         return -quantum_min(
             -np.concatenate(rhos), self._rngs[_STREAM_MAX_RATIO], boost=cfg.min_boost,
-            ledger=self.ledger, charge={"step3.max_ratio": 1},
+            ledger=self.ledger, exact=(cfg.backend == "exact"), charge={"step3.max_ratio": 1},
         ).value
 
     def compute_lof_all(self, rhos: list, ratio_bound: float) -> np.ndarray:

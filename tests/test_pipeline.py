@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qlof import dataset, lof
 from qlof.dataset import RunConfig, from_points
 from qlof.ledger import QueryLedger
-from qlof.lof import build_table, off_diagonal
+from qlof.lof import build_table, off_diagonal, row_points
 from qlof.pipeline import QuantumLofPipeline, RatioBoundError
 from qlof.qsim import StateVector
 from qlof.synthetic import random_dataset
@@ -153,7 +153,7 @@ def test_count_neighbors_certain_when_all_within():
     # certain run after run.
     for s in range(20):
         pipe = QuantumLofPipeline(GRID3, cfg(k=2, seed=s))
-        rows, _ = off_diagonal(pipe.distance_estimates())
+        rows = off_diagonal(pipe.distance_estimates())
         kdist = np.array([pipe.find_k_distance(row)[0] for row in rows])
         assert pipe.count_neighbors(rows, kdist).count.tolist() == [2, 2, 2]
 
@@ -169,23 +169,23 @@ def test_estimate_distance_charges_per_point_pass():
 
 def test_find_k_distance_matches_classical():
     pipe = QuantumLofPipeline(GRID3, cfg(k=1, seed=5))
-    kdist, seeds = pipe.find_k_distance(off_diagonal(pipe.distance_estimates())[0][0])
+    kdist, seeds = pipe.find_k_distance(off_diagonal(pipe.distance_estimates())[0])
     assert abs(kdist - 0.5) <= pipe.config.eps_dist
     assert len(seeds) == 1
     # k = m-1: the largest estimated distance.
     pipe2 = QuantumLofPipeline(GRID3, cfg(k=2, seed=5))
-    kd2, _ = pipe2.find_k_distance(off_diagonal(pipe2.distance_estimates())[0][0])
+    kd2, _ = pipe2.find_k_distance(off_diagonal(pipe2.distance_estimates())[0])
     assert abs(kd2 - 1.0) <= pipe2.config.eps_dist
 
 
 def test_count_and_collect_consistency():
     pipe = QuantumLofPipeline(TOY, cfg(seed=9))
-    rows, points = off_diagonal(pipe.distance_estimates())
+    rows = off_diagonal(pipe.distance_estimates())
     kdist, seeds = pipe.find_k_distance(rows[3])
     est = pipe.count_neighbors(rows[3:], np.array([kdist]))
     assert est.count.tolist() == [2]
     found, saturated = pipe.find_neighbors(rows[3], kdist, expected=2, seed_found=seeds)
-    assert points[3, found].tolist() == [1, 2] and saturated
+    assert row_points(3, np.array(found)).tolist() == [1, 2] and saturated
 
 
 def test_collection_cap_warns_on_every_unsaturated_row(monkeypatch):
@@ -202,7 +202,7 @@ def test_collection_cap_warns_on_every_unsaturated_row(monkeypatch):
     ds = gaussian_clusters(24, 2, np.random.default_rng(1))
     pipe = QuantumLofPipeline(ds, cfg(k=3, backend="ledger", ae_qubits_dist=4, seed=1))
     table = pipe.build_neighborhood_table()
-    rows, _ = off_diagonal(pipe.distance_estimates())
+    rows = off_diagonal(pipe.distance_estimates())
     held = np.count_nonzero(rows <= np.array([r.kdist for r in table.rows])[:, None], axis=1)
     short = [i for i, row in enumerate(table.rows) if row.count < held[i]]
     assert short
