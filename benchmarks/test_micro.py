@@ -23,9 +23,6 @@ figures come from ``bench/run.py``; these isolate one primitive each:
   uniform superposition over 4 coordinates;
 * an exact-backend ``grover_search`` with nothing marked, the saturation
   check that ends every neighborhood collection;
-* the exact backend's k-distance stage at the ``exact-m16`` size:
-  ``kth_smallest(..., exact=True)`` over 16 x 15 rows, k = 3, boost 5, each
-  threshold's hit law read from a statevector;
 * the ledger-backend layers behind a ``ledger-m256`` point: ``kth_smallest``
   at m = 255, k = 3, boost 1, over one row and over the k-distance stage's
   256 x 255 rows, ``quantum_count`` at t = 5 with 3 repeats
@@ -142,13 +139,6 @@ def test_exact_grover_search_nothing_marked(benchmark):
     marked = np.zeros(16, dtype=bool)
     rng = np.random.default_rng(4)
     assert benchmark(grover_search, marked, rng, exact=True) is None
-
-
-def test_exact_kth_smallest_rows_m16(benchmark):
-    values = np.random.default_rng(5).random((16, 15))
-    rng = np.random.default_rng(6)
-    res = benchmark(kth_smallest, values, 3, rng, boost=5, exact=True)
-    assert res.indices.shape == (16, 3)
 
 
 def test_ledger_kth_smallest_m255(benchmark):

@@ -10,9 +10,8 @@ over E into rotation amplitudes, amplitude-estimates each point's outlier
 factor, and Grover-searches the flagged indices.
 
 Backends: "exact" prepares real statevectors for every rotation and runs
-statevector Grover iterations, which give the Durr-Hoyer searches their hit
-law once per threshold; "ledger" computes the same amplitudes classically
-and samples outcomes from the identical closed-form laws.  Both
+statevector Grover iterations; "ledger" computes the same amplitudes
+classically and samples outcomes from the identical closed-form laws.  Both
 charge the query ledger under the parallel-circuit convention: step-1 work is
 charged per point, step-2 arithmetic and the step-3 amplitude estimation once
 per run (they act on the index superposition), step-3 Grover per iteration.
@@ -36,8 +35,7 @@ invocations is one search over every point still collecting, one block of
 uniforms per point in point order (:func:`grover_search`); flagging is one
 such search per invocation over the outlier factors.  The exact backend's
 statevector searches draw round by round, and it collects point by point;
-its Durr-Hoyer searches draw as the ledger's do, each threshold's hit law
-read from a statevector.
+its Durr-Hoyer searches draw from the closed form, as the ledger's do.
 So a stage's draws do not depend on how another stage uses its stream.
 """
 
@@ -234,8 +232,12 @@ class QuantumLofPipeline:
             self._rngs[_STREAM_KDIST],
             boost=cfg.min_boost,
             ledger=self.ledger,
-            exact=(cfg.backend == "exact"),
             charge=self._query_cost["step1.value_query"],
+            # The exact backend ranks every round until bench/speed.py takes
+            # a sample of its own for an operation shorter than its 0.1 s
+            # period: a faster first exact-m16 operation crashes it (ROADMAP
+            # item 1).
+            rank_once=(cfg.backend == "ledger"),
         )
         return res.value, res.indices
 
@@ -383,7 +385,7 @@ class QuantumLofPipeline:
         cfg = self.config
         return -quantum_min(
             -np.concatenate(rhos), self._rngs[_STREAM_MAX_RATIO], boost=cfg.min_boost,
-            ledger=self.ledger, exact=(cfg.backend == "exact"), charge={"step3.max_ratio": 1},
+            ledger=self.ledger, charge={"step3.max_ratio": 1},
         ).value
 
     def compute_lof_all(self, rhos: list, ratio_bound: float) -> np.ndarray:

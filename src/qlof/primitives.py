@@ -42,13 +42,10 @@ its schedule is fixed, so one block of uniforms per row decides every
 round (:func:`_search_block`), and collection searches all its rows in
 lockstep, one call per invocation.  Durr-Hoyer minimum finding draws its
 measurements round by round (:func:`_grover_outcome_law`), because its
-schedule restarts at each improvement; it ranks each threshold once, and
-with ``exact=True`` the exact backend reads the threshold's hit law from
-one statevector pass (:func:`_hit_table`), where the ledger takes the closed
-form.  The two agree to rounding, so a draw differs only when its uniform
-falls within that rounding of the hit probability.  A 2-D
-:func:`kth_smallest` runs its rows one after another on one generator, as a
-loop of 1-D calls would.
+schedule restarts at each improvement; it does so from the closed form on
+both backends, and ranks each threshold once (or, with ``rank_once``
+false, in every round).  A 2-D :func:`kth_smallest` runs its rows one after
+another on one generator, as a loop of 1-D calls would.
 Simulation bookkeeping (evaluating the predicate to learn the ground truth)
 is never charged; only queries made by the algorithm's control flow are.
 """
@@ -244,52 +241,20 @@ def _grover_outcome_law(
     tcount: int,
     r: int,
     rng: np.random.Generator,
-    p: float | None = None,
 ) -> int:
-    """Sample the measured index after r Grover iterations.
+    """Sample the measured index after r Grover iterations (closed form).
 
     ``order`` lists the domain with its ``tcount`` marked indices first.
-    ``p`` is the marked probability after the r iterations, read from a
-    statevector (:func:`_hit_table`) on the exact backend; by default the
-    closed form sin^2((2r+1) theta), sin^2(theta) = T/m.
     """
     m = order.size
     if tcount == 0:
         return int(rng.integers(m))
     if tcount == m:
         return int(order[rng.integers(m)])
-    if p is None:
-        theta = math.asin(math.sqrt(tcount / m))
-        p = math.sin((2 * r + 1) * theta) ** 2
-    if rng.random() < p:
+    theta = math.asin(math.sqrt(tcount / m))
+    if rng.random() < math.sin((2 * r + 1) * theta) ** 2:
         return int(order[rng.integers(tcount)])
     return int(order[tcount + rng.integers(m - tcount)])
-
-
-def _grover_states(marked: np.ndarray, rounds: int) -> np.ndarray:
-    """Statevector amplitudes after r = 0..rounds-1 Grover iterations from the
-    uniform state over the m = ``marked.size`` indices, one row per r.
-
-    Each iteration flips the marked amplitudes and reflects about the uniform
-    state, a -> 2 mean(a) - a.  The amplitudes are real, and the basis states
-    past m that pad the register to a power of two stay at zero, so they are
-    left out.
-    """
-    m = marked.size
-    states = np.empty((rounds, m))
-    states[0] = 1.0 / math.sqrt(m)
-    sign = np.where(marked, -1.0, 1.0)
-    for r in range(1, rounds):
-        flipped = states[r - 1] * sign
-        states[r] = 2.0 * flipped.mean() - flipped
-    return states
-
-
-def _hit_table(marked: np.ndarray, rounds: int) -> np.ndarray:
-    """The exact backend's hit law: the probability of measuring a marked
-    index after r = 0..rounds-1 Grover iterations, from one statevector
-    pass (:func:`_grover_states`)."""
-    return np.square(_grover_states(marked, rounds)[:, marked]).sum(axis=1)
 
 
 def _grover_outcome_exact(
@@ -498,15 +463,13 @@ def _dh_single(
     sorted_vals: np.ndarray,
     rng: np.random.Generator,
     budget: int,
-    exact: bool = False,
+    rank_once: bool = True,
 ) -> tuple[int, float, int]:
     """One Durr-Hoyer pass: threshold descent until the budget is exhausted.
 
     The rank T of the threshold, the number of values below it, is computed
-    when a round first needs it and again only after an improvement.  On
-    the exact backend each threshold also gets one statevector pass with
-    its T indices marked, which tabulates the hit law for every iteration
-    count r < ceil(sqrt(m)) the schedule can draw (:func:`_hit_table`).
+    when a round first needs it and again only after an improvement; with
+    ``rank_once`` false, in every round.  The draws are the same.
     """
     m = values.size
     best_i = int(rng.integers(m))
@@ -514,14 +477,12 @@ def _dh_single(
     queries = 1
     big_m = 1.0
     sqrt_m = math.sqrt(m)
-    tcount, table = -1, None  # the threshold's rank and hit law, once needed
+    tcount = -1  # the threshold's rank, once a round needs it
     while queries < budget:
         r = int(rng.integers(math.ceil(big_m)))
-        if tcount < 0:
+        if tcount < 0 or not rank_once:
             tcount = int(np.searchsorted(sorted_vals, best_v, side="left"))
-            if exact:
-                table = _hit_table(values < best_v, math.ceil(sqrt_m))
-        y = _grover_outcome_law(order, tcount, r, rng, None if table is None else table[r])
+        y = _grover_outcome_law(order, tcount, r, rng)
         queries += r + 1
         v = float(values[y])
         if v < best_v:
@@ -549,8 +510,8 @@ def kth_smallest(
     rng: np.random.Generator,
     boost: int = 1,
     ledger: QueryLedger | None = None,
-    exact: bool = False,
     charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
+    rank_once: bool = True,
 ) -> KthSmallestResult:
     """k successive minimum searches, each excluding the indices already found.
 
@@ -565,9 +526,9 @@ def kth_smallest(
     search of the row with its found indices set to +inf would: the row is
     sorted once, and a found index moves to the end of the sort order,
     among the found in index order, which is that masked row's stable sort
-    order.  The values must be finite.  Every round samples the closed-form
-    hit law; with ``exact`` it reads that law from one statevector pass per
-    threshold instead (:func:`_dh_single`), equal to it up to rounding.
+    order.  The values must be finite.  ``rank_once`` false ranks each
+    threshold in every round instead of once (:func:`_dh_single`), with the
+    same draws.
 
     A 2-D ``values`` holds one domain per row, searched row after row; the
     result then holds arrays: one value and one query count per row, and an
@@ -595,7 +556,7 @@ def kth_smallest(
             sorted_vals = masked[order]
             best_i, best_v = -1, math.inf
             for _ in range(boost):
-                i, v, q = _dh_single(masked, order, sorted_vals, rng, budget, exact)
+                i, v, q = _dh_single(masked, order, sorted_vals, rng, budget, rank_once)
                 queries[n] += q
                 if (v, i) < (best_v, best_i) or best_i < 0:
                     best_i, best_v = i, v
@@ -615,12 +576,11 @@ def quantum_min(
     rng: np.random.Generator,
     boost: int = 1,
     ledger: QueryLedger | None = None,
-    exact: bool = False,
     charge: Mapping[str, int] = MappingProxyType({"value_oracle": 1}),
 ) -> MinResult:
     """Find an argmin of the 1-D ``values`` in O(sqrt(m)) value queries: the
     k = 1 case of :func:`kth_smallest`, with the same draws."""
-    res = kth_smallest(values, 1, rng, boost=boost, ledger=ledger, exact=exact, charge=charge)
+    res = kth_smallest(values, 1, rng, boost=boost, ledger=ledger, charge=charge)
     return MinResult(index=res.indices[0], value=res.value, queries=res.queries)
 
 

@@ -3,10 +3,9 @@
 ``_grover_outcome_law`` serves the Durr-Hoyer threshold descent and is the
 per-round reference of the ledger search.  It must draw exactly what the two
 copies it replaced drew, and the exact backend's statevector iterations must
-sample the same law, both round by round and as the hit table that one
-statevector pass gives a Durr-Hoyer threshold.  The ledger backend samples a
-whole search as one block of uniforms; its first-hit round and query totals
-must follow the law of the per-round loop.
+sample the same law.  The ledger backend samples a whole search as one block
+of uniforms; its first-hit round and query totals must follow the law of the
+per-round loop.
 """
 
 import math
@@ -22,8 +21,6 @@ from qlof.primitives import (
     GROWTH,
     _grover_outcome_exact,
     _grover_outcome_law,
-    _grover_states,
-    _hit_table,
     _nth_marked,
     _schedule,
     grover_collect,
@@ -111,7 +108,6 @@ def test_exact_and_closed_form_backends_sample_the_same_law():
             marked = np.arange(m) < tcount
             order = np.argsort(~marked, kind="stable")
             theta = math.asin(math.sqrt(tcount / m))
-            table = _hit_table(marked, 4)
             for r in (0, 1, 3):
                 p_good = math.sin((2 * r + 1) * theta) ** 2
                 law = np.where(marked, p_good / max(tcount, 1), (1 - p_good) / (m - tcount))
@@ -124,42 +120,46 @@ def test_exact_and_closed_form_backends_sample_the_same_law():
                     [_grover_outcome_law(order, tcount, r, rng) for _ in range(n_draws)],
                     minlength=m,
                 )
-                tabled = np.bincount(
-                    [_grover_outcome_law(order, tcount, r, rng, table[r]) for _ in range(n_draws)],
-                    minlength=m,
-                )
                 assert exact.size == m  # padding indices are never measured
-                for hist in (exact, closed, tabled):
+                for hist in (exact, closed):
                     obs, exp = _pooled(hist, n_draws * law)
                     if obs.size > 1:
                         assert chisquare(obs, exp).pvalue > 1e-3, (m, tcount, r, hist)
 
 
+class _Measure:
+    """Stands in for a generator: keeps the law that a statevector
+    measurement samples from."""
+
+    def choice(self, n, p):
+        self.p = p
+        return 0
+
+
 @st.composite
-def hit_tables(draw):
+def grover_rounds(draw):
     m = draw(st.integers(1, 1024))
-    rounds = math.ceil(math.sqrt(m))
-    return m, draw(st.integers(0, m)), draw(st.integers(0, rounds - 1)), rounds
+    return m, draw(st.integers(0, m)), draw(st.integers(0, math.ceil(math.sqrt(m)) - 1))
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=hit_tables(), seed=st.integers(0, 2**32 - 1))
-def test_statevector_hit_table_is_the_closed_form(case, seed):
+@given(case=grover_rounds(), seed=st.integers(0, 2**32 - 1))
+def test_statevector_grover_law_is_the_closed_form(case, seed):
     # Boyer-Brassard-Hoyer-Tapp, Lemma 1: from the uniform state, Grover
     # iterations keep the marked amplitudes equal to one another and the
     # unmarked ones too, so the marked mass after r iterations is
     # sin^2((2r + 1) theta) with sin^2(theta) = T/m, whichever T are marked.
-    m, tcount, r, rounds = case
+    m, tcount, r = case
     marked = np.random.default_rng(seed).permutation(m) < tcount
-    states = _grover_states(marked, rounds)
+    measure = _Measure()
+    _grover_outcome_exact(marked, m, r, measure)
+    p = measure.p
+    assert np.all(p[m:] == 0.0)  # the padding of the register stays empty
     for part in (marked, ~marked):
         if part.any():
-            assert np.all(states[r, part] == states[r, part][0])
+            assert np.all(p[:m][part] == p[:m][part][0])
     theta = math.asin(math.sqrt(tcount / m))
-    table = _hit_table(marked, rounds)
-    assert table.shape == (rounds,)
-    assert abs(table[r] - math.sin((2 * r + 1) * theta) ** 2) <= 1e-12
-    assert abs(np.square(states[r]).sum() - 1.0) <= 1e-12
+    assert abs(p[:m][marked].sum() - math.sin((2 * r + 1) * theta) ** 2) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

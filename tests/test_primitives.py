@@ -299,7 +299,7 @@ def test_kth_smallest_matches_sort_oracle():
         assert math.isclose(res.value, float(np.sort(vals)[k - 1]))
 
 
-def masked_min_searches(values, k, rng, boost, ledger, charge, exact=False):
+def masked_min_searches(values, k, rng, boost, ledger, charge):
     """k-th smallest as k searches, each ``boost`` Durr-Hoyer passes over the
     row with its found indices set to +inf and sorted afresh: the exclusion
     that ``kth_smallest`` keeps by moving found indices to the end of one
@@ -312,7 +312,7 @@ def masked_min_searches(values, k, rng, boost, ledger, charge, exact=False):
         order = np.argsort(masked, kind="stable")
         best_i, value = -1, math.inf
         for _ in range(boost):
-            i, v, q = primitives._dh_single(masked, order, masked[order], rng, budget, exact)
+            i, v, q = primitives._dh_single(masked, order, masked[order], rng, budget)
             total += q
             if (v, i) < (value, best_i) or best_i < 0:
                 best_i, value = i, v
@@ -338,29 +338,39 @@ def search_rows(seed, m=12, n=6):
 def test_kth_smallest_rows_equal_per_row_calls_on_one_stream(k, boost, budget, monkeypatch):
     # A budget of sqrt(m)/2 ends most searches after one round, often on a
     # found index: the order of the found indices at the end of the sort
-    # order then decides which one.  The exact backend's statevector hit
-    # tables draw what the closed form draws on these streams.
+    # order then decides which one.
     monkeypatch.setattr(primitives, "BUDGET", budget)
     charge = {"v": 1, "w": 3}
     for seed in range(4):
         vals = search_rows(seed)
-        per_backend = []
-        for exact in (False, True):
-            rngs = [np.random.default_rng([seed, 9]) for _ in range(3)]
-            leds = [QueryLedger() for _ in range(3)]
-            kw = dict(boost=boost, exact=exact, charge=charge)
-            res = kth_smallest(vals, k, rngs[0], ledger=leds[0], **kw)
-            rows = [kth_smallest(row, k, rngs[1], ledger=leds[1], **kw) for row in vals]
-            loops = [
-                masked_min_searches(row, k, rngs[2], boost, leds[2], charge, exact) for row in vals
-            ]
-            assert res.value.tolist() == [r.value for r in rows] == [v for v, _, _ in loops]
-            assert res.indices.tolist() == [r.indices for r in rows] == [f for _, f, _ in loops]
-            assert res.queries.tolist() == [r.queries for r in rows] == [q for _, _, q in loops]
-            assert leds[0].as_dict() == leds[1].as_dict() == leds[2].as_dict()
-            assert rngs[0].random() == rngs[1].random() == rngs[2].random()
-            per_backend.append((res.value.tolist(), res.indices.tolist(), res.queries.tolist()))
-        assert per_backend[0] == per_backend[1]
+        rngs = [np.random.default_rng([seed, 9]) for _ in range(3)]
+        leds = [QueryLedger() for _ in range(3)]
+        kw = dict(boost=boost, charge=charge)
+        res = kth_smallest(vals, k, rngs[0], ledger=leds[0], **kw)
+        rows = [kth_smallest(row, k, rngs[1], ledger=leds[1], **kw) for row in vals]
+        loops = [masked_min_searches(row, k, rngs[2], boost, leds[2], charge) for row in vals]
+        assert res.value.tolist() == [r.value for r in rows] == [v for v, _, _ in loops]
+        assert res.indices.tolist() == [r.indices for r in rows] == [f for _, f, _ in loops]
+        assert res.queries.tolist() == [r.queries for r in rows] == [q for _, _, q in loops]
+        assert leds[0].as_dict() == leds[1].as_dict() == leds[2].as_dict()
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+@pytest.mark.parametrize("budget", [22.5, 0.5])
+@pytest.mark.parametrize("boost", [1, 5])
+def test_kth_smallest_draws_the_same_ranking_once_or_every_round(boost, budget, monkeypatch):
+    # A threshold's rank changes only on an improvement, so keeping it
+    # between rounds must not move a draw.
+    monkeypatch.setattr(primitives, "BUDGET", budget)
+    for seed in range(4):
+        for vals, k in ((search_rows(seed), 3), (np.random.default_rng(seed).random((2, 255)), 5)):
+            out = []
+            for rank_once in (True, False):
+                rng, led = np.random.default_rng([seed, 7]), QueryLedger()
+                res = kth_smallest(vals, k, rng, boost=boost, ledger=led, rank_once=rank_once)
+                got = (res.value.tolist(), res.indices.tolist(), res.queries.tolist())
+                out.append((*got, led.as_dict(), rng.random()))
+            assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("boost", [1, 5])
