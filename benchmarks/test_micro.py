@@ -28,6 +28,9 @@ figures come from ``bench/run.py``; these isolate one primitive each:
   256 x 255 rows, ``quantum_count`` at t = 5 with 3 repeats
   over one row and over the counting stage's 256 x 255 mask, and the
   collection stage's one ``grover_collect`` call over a 256 x 255 mask;
+* lockstep ``grover_collect`` over 1024 x 1023 rows of 3 to 25 marked
+  indices with 3 known per row, the regime where collection runs many
+  invocations;
 * step 2's fixed-point operations at the ``qlof scale`` format (20, 12):
   ``q_mul_add`` into the (40, 24) accumulator and the ``q_div`` of that sum
   by the neighbor count;
@@ -94,13 +97,9 @@ def test_amplitude_estimate_array_t6(benchmark):
 def test_phase_distribution(benchmark, method):
     amps = np.random.default_rng(2).normal(size=4) + 0j
     amps /= np.linalg.norm(amps)
-
-    def preparer():
-        sv = StateVector([("q", 2)])
-        sv.amps = amps.copy()
-        return sv
-
-    op = grover_operator(preparer, ("q", 0))
+    sv = StateVector([("q", 2)])
+    sv.amps = amps
+    op = grover_operator(sv, ("q", 0))
     probs = benchmark(phase_distribution, op.matrix, op.psi, 8, method=method)
     assert probs.sum() == pytest.approx(1.0)
 
@@ -181,6 +180,25 @@ def test_ledger_grover_collect_rows_m256(benchmark):
         grover_collect, marked, rng, expected=size.tolist(), seed_found=order[:, :3].tolist()
     )
     assert [len(f) for f in found] == size.tolist() and all(saturated)
+
+
+def test_ledger_grover_collect_rows_m1024(benchmark):
+    # Lockstep collection where neighborhoods run long, as at m = 1024 and
+    # beyond when estimates tie on the amplitude-estimation grid: each of
+    # 1024 rows of 1023 marks its 3 to 25 nearest, knows 3 of them, and
+    # collects the rest over up to 23 invocations.
+    values = np.random.default_rng(11).random((1024, 1023))
+    order = np.argsort(values, axis=1)
+    size = np.random.default_rng(12).integers(3, 26, 1024)
+    marked = values <= values[np.arange(1024), order[np.arange(1024), size - 1]][:, None]
+    rng = np.random.default_rng(13)
+    found, _ = benchmark.pedantic(
+        grover_collect,
+        (marked, rng),
+        dict(expected=size.tolist(), seed_found=order[:, :3].tolist()),
+        rounds=5,
+    )
+    assert all(len(f) <= s for f, s in zip(found, size.tolist()))
 
 
 def test_q_mul_add_scale_format(benchmark):

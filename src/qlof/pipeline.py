@@ -30,12 +30,13 @@ point order, each uniform mapped to one outcome by the staged-window
 sampler :func:`~qlof.primitives.ae_outcomes`.  The k-distance stage is one
 :func:`kth_smallest` call over every search row, drawing point by point; the
 ratio maximum is one :func:`quantum_min` call, the k = 1 case of
-:func:`kth_smallest`.  Collection draws across points: each of its
-invocations is one search over every point still collecting, one block of
-uniforms per point in point order (:func:`grover_search`); flagging is one
-such search per invocation over the outlier factors.  The exact backend's
-statevector searches draw round by round, and it collects point by point;
-its Durr-Hoyer searches draw from the closed form, as the ledger's do.
+:func:`kth_smallest`.  Collection draws across points on both backends:
+each of its invocations is one search over every point still collecting, in
+point order (:func:`grover_search`), one block of uniforms per point on the
+ledger backend; flagging is one such search per invocation over the outlier
+factors.  The exact backend's statevector searches draw round by round,
+point after point within an invocation; its Durr-Hoyer searches draw from
+the closed form, as the ledger's do.
 So a stage's draws do not depend on how another stage uses its stream.
 """
 

@@ -24,8 +24,8 @@ draws, each later stage takes only the draws left over, and only the rare
 draw past a 512-outcome window touches the whole 2^t-outcome law, so the
 cost hardly grows with t.
 The one exception is the statevector reference
-:func:`amplitude_estimate_via_qpe`, which builds a preparer's Grover operator
-and samples its phase-estimation distribution.
+:func:`amplitude_estimate_via_qpe`, which builds the Grover operator of a
+prepared state and samples its phase-estimation distribution.
 
 The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
@@ -39,13 +39,15 @@ The exact backend runs real statevector Grover iterations; the ledger backend
 samples outcomes from the identical closed-form success law while charging the
 same oracle queries.  A ledger search is sampled whole: with nothing found
 its schedule is fixed, so one block of uniforms per row decides every
-round (:func:`_search_block`), and collection searches all its rows in
-lockstep, one call per invocation.  Durr-Hoyer minimum finding draws its
-measurements round by round (:func:`_grover_outcome_law`), because its
-schedule restarts at each improvement; it does so from the closed form on
-both backends, and ranks each threshold once (or, with ``rank_once``
-false, in every round).  A 2-D :func:`kth_smallest` runs its rows one after
-another on one generator, as a loop of 1-D calls would.
+round (:func:`_search_block`).  On both backends collection searches all
+its rows in lockstep, one call per invocation, so only :func:`grover_search`
+depends on the backend.  Durr-Hoyer minimum finding draws its measurements
+round by round (:func:`_grover_outcome_law`), because its schedule restarts
+at each improvement; it does so from the closed form on both backends, and
+ranks each threshold once (or, with ``rank_once`` false, in every round).
+A 2-D :func:`kth_smallest` runs its rows one after another on one
+generator, as a loop of 1-D calls would, and sorts each exclusion's masked
+row afresh.
 Simulation bookkeeping (evaluating the predicate to learn the ground truth)
 is never charged; only queries made by the algorithm's control flow are.
 """
@@ -56,7 +58,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -215,17 +217,17 @@ def amplitude_estimate(
 
 
 def amplitude_estimate_via_qpe(
-    preparer: Callable[[], StateVector],
+    sv: StateVector,
     good_flag: tuple[str, int],
     t: int,
     rng: np.random.Generator,
 ) -> AmplitudeEstimate:
-    """Full statevector route: build the Grover operator of the preparer and
-    sample one outcome of its phase estimation.  Distribution-identical to
-    :func:`amplitude_estimate` at one repeat; the reference the outcome law is
-    checked against, also shown in a demo.
+    """Full statevector route: build the Grover operator of the prepared
+    state ``sv`` and sample one outcome of its phase estimation.
+    Distribution-identical to :func:`amplitude_estimate` at one repeat; the
+    reference the outcome law is checked against, also shown in a demo.
     """
-    op = grover_operator(preparer, good_flag)
+    op = grover_operator(sv, good_flag)
     ys = rng.choice(1 << t, size=1, p=phase_distribution(op.matrix, op.psi, t))
     theta_hat = math.pi * int(folded_median(ys, t)) / (1 << t)
     return AmplitudeEstimate(theta_hat, math.sin(theta_hat) ** 2, ae_queries(t, 1))
@@ -406,40 +408,37 @@ def grover_collect(
     Stops when a search confirms saturation (finds nothing) or when the
     invocation cap, ``expected`` plus two (the domain size plus two when
     ``expected`` is None), is reached.  Returns (sorted solutions, saturated).
-    ``seed_found`` pre-populates with solutions already known classically.
+    ``seed_found`` pre-populates with solutions already known classically;
+    its entries must be marked indices.
 
     A 2-D ``marked`` holds one domain per row, ``expected`` and
     ``seed_found`` one entry per row; the result is then one list of
     solutions and one saturation flag per row.  The rows collect in
-    lockstep: each invocation is one :func:`grover_search` call over the
-    rows still collecting.  The exact backend collects row by row instead,
-    each row to its end before the next, so its draws follow the per-row
-    loop.
+    lockstep on both backends: each invocation is one :func:`grover_search`
+    call over the rows still collecting, searching each row's marked
+    indices not yet found.
     """
     marked = np.asarray(marked, dtype=bool)
     rows = marked.reshape(-1, marked.shape[-1])
     n, m = rows.shape
-    found = np.zeros_like(rows)
+    left = rows.copy()  # the marked indices still to find
     if seed_found is not None:
         for i, seeds in enumerate([seed_found] if marked.ndim == 1 else seed_found):
-            found[i, list(seeds)] = True
+            left[i, list(seeds)] = False
     cap = m + 2 if expected is None else np.maximum(np.asarray(expected) + 2, 1)
     cap = np.broadcast_to(cap, n)
     saturated = np.zeros(n, dtype=bool)
-    for group in np.arange(n).reshape(-1, 1) if exact else [np.arange(n)]:
-        active = group
-        for inv in range(int(cap[group].max(initial=0))):
-            active = active[cap[active] > inv]
-            if active.size == 0:
-                break
-            y = grover_search(
-                rows[active] & ~found[active], rng, ledger=ledger, exact=exact, charge=charge
-            )
-            hit = y >= 0
-            found[active[hit], y[hit]] = True
-            saturated[active[~hit]] = True
-            active = active[hit]
-    solutions = [np.flatnonzero(row).tolist() for row in found]
+    active = np.arange(n)
+    for inv in range(int(cap.max(initial=0))):
+        active = active[cap[active] > inv]
+        if active.size == 0:
+            break
+        y = grover_search(left[active], rng, ledger=ledger, exact=exact, charge=charge)
+        hit = y >= 0
+        left[active[hit], y[hit]] = False
+        saturated[active[~hit]] = True
+        active = active[hit]
+    solutions = [np.flatnonzero(row).tolist() for row in rows & ~left]
     if marked.ndim == 1:
         return solutions[0], bool(saturated[0])
     return solutions, saturated.tolist()
@@ -522,13 +521,11 @@ def kth_smallest(
     search's value is the k-th order statistic; ties beyond the k-th
     rank are resolved downstream by the <=-threshold neighborhood predicate.
     k may equal the domain size (callers that exclude the query point pass
-    the m-1 other candidates and k up to m-1).  Each search draws what a
-    search of the row with its found indices set to +inf would: the row is
-    sorted once, and a found index moves to the end of the sort order,
-    among the found in index order, which is that masked row's stable sort
-    order.  The values must be finite.  ``rank_once`` false ranks each
-    threshold in every round instead of once (:func:`_dh_single`), with the
-    same draws.
+    the m-1 other candidates and k up to m-1).  Each search runs over the
+    row with its found indices set to +inf, in that masked row's stable sort
+    order, so the found indices come last, in index order.  The values must
+    be finite.  ``rank_once`` false ranks each threshold in every round
+    instead of once (:func:`_dh_single`), with the same draws.
 
     A 2-D ``values`` holds one domain per row, searched row after row; the
     result then holds arrays: one value and one query count per row, and an
@@ -550,9 +547,10 @@ def kth_smallest(
     found = np.empty((rows.shape[0], k), dtype=np.int64)
     kth = np.empty(rows.shape[0])
     queries = np.zeros(rows.shape[0], dtype=np.int64)
-    for n, (row, keep) in enumerate(zip(rows, np.argsort(rows, axis=1, kind="stable"))):
-        masked, order = row.copy(), keep
+    for n, row in enumerate(rows):
+        masked = row.copy()
         for j in range(k):
+            order = np.argsort(masked, kind="stable")
             sorted_vals = masked[order]
             best_i, best_v = -1, math.inf
             for _ in range(boost):
@@ -562,8 +560,6 @@ def kth_smallest(
                     best_i, best_v = i, v
             found[n, j], kth[n] = best_i, best_v
             masked[best_i] = math.inf
-            keep = keep[keep != best_i]
-            order = np.concatenate((keep, np.flatnonzero(masked == math.inf)))
     if ledger is not None:
         ledger.charge_many(charge, int(queries.sum()))
     if values.ndim == 2:

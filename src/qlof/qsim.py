@@ -5,8 +5,8 @@ significant bit of the basis index).  The simulator supports exactly what the
 pipeline composes:
 
 * uniform state preparation over an arbitrary domain size,
-* classical-function oracles applied as permutation unitaries
-  |a>|b> -> |a>|b XOR f(a)>,
+* classical-function oracles, given as integer truth tables, applied as
+  permutation unitaries |a>|b> -> |a>|b XOR f(a)>,
 * the value-conditioned rotation that writes a register value into an
   ancilla amplitude (linear or square-root mode),
 * Grover operators Q = (2|psi><psi| - I)(I - 2P_good) built from a prepared
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,47 +136,31 @@ def prepare_uniform(sv: StateVector, reg: str, domain: int) -> StateVector:
 
 def apply_oracle(
     sv: StateVector,
-    f: Callable[..., int],
+    table: np.ndarray,
     in_regs: str | Sequence[str],
     out_reg: str,
 ) -> StateVector:
     """Apply |in>|out> -> |in>|out XOR f(in)> as a permutation unitary.
 
-    ``f`` receives one integer per input register and must return a value
-    fitting the output register for every point of the input domain.
+    ``table`` is f's integer truth table, one axis per input register in
+    the order of ``in_regs``, each as long as its register's dimension:
+    f(a, b) is ``table[a, b]``.  Every entry must fit the output register.
     """
     if isinstance(in_regs, str):
         in_regs = [in_regs]
     if out_reg in in_regs:
         raise RegisterOverlapError(f"output register {out_reg!r} is also an input")
-    regs = [sv.reg(nm) for nm in in_regs]
     out = sv.reg(out_reg)
-
-    # Tabulate f over the flat input domain once, then index per basis state.
-    dims = [r.dim for r in regs]
-    flat_dim = int(np.prod(dims)) if dims else 1
-    table = np.empty(flat_dim, dtype=np.int64)
-    for flat in range(flat_dim):
-        rem, args = flat, []
-        for d in dims:
-            args.append(rem % d)
-            rem //= d
-        fv = int(f(*args))
-        if not 0 <= fv < out.dim:
-            raise QsimError(
-                f"oracle output {fv} does not fit register {out_reg!r}"
-            )
-        table[flat] = fv
-
-    idx = np.arange(sv.amps.size)
-    flat_in = np.zeros(sv.amps.size, dtype=np.int64)
-    stride = 1
-    for r, d in zip(regs, dims):
-        flat_in += ((idx >> r.offset) & r.mask) * stride
-        stride *= d
-    perm = idx ^ (table[flat_in] << out.offset)
+    table = np.asarray(table)
+    dims = tuple(sv.reg(nm).dim for nm in in_regs)
+    if table.shape != dims:
+        raise QsimError(f"oracle table of shape {table.shape} does not cover registers {dims}")
+    bad = (table < 0) | (table >= out.dim)
+    if bad.any():
+        raise QsimError(f"oracle output {table[bad][0]} does not fit register {out_reg!r}")
+    f_in = table[tuple(sv.values(nm) for nm in in_regs)].astype(np.int64)
     new = np.empty_like(sv.amps)
-    new[perm] = sv.amps
+    new[np.arange(sv.amps.size) ^ (f_in << out.offset)] = sv.amps
     sv.amps = new
     sv.check_norm()
     return sv
@@ -272,12 +256,10 @@ class GroverOperator:
         return 2.0 * np.outer(self.psi, self.psi.conj()) @ flip - flip
 
 
-def grover_operator(
-    preparer: Callable[[], StateVector], good_flag: tuple[str, int]
-) -> GroverOperator:
-    """Build the Grover operator of a state-preparer whose good subspace is
-    where register ``good_flag[0]`` holds the value ``good_flag[1]``."""
-    sv = preparer()
+def grover_operator(sv: StateVector, good_flag: tuple[str, int]) -> GroverOperator:
+    """Build the Grover operator of the prepared state ``sv`` whose good
+    subspace is where register ``good_flag[0]`` holds the value
+    ``good_flag[1]``."""
     reg_name, value = good_flag
     return GroverOperator(sv.amps, sv.values(reg_name) == value)
 

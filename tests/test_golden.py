@@ -28,8 +28,9 @@ finally over the rest of the row); and, on the ledger backend, the block-sampled
 ``primitives.grover_search`` (one (R, 2) block of uniforms per search,
 then one uniform per hit), with collection drawing every point still
 collecting in point order, invocation by invocation.  The exact backend's
-searches draw round by round, point by point, so ``exact-m12`` does not
-depend on that block layout.  A deliberate change of any of these
+searches draw round by round, point by point within an invocation, and its
+collection draws invocation by invocation too, so ``exact-m12`` does not
+depend on the block layout but does on the invocation order.  A deliberate change of any of these
 regenerates the files it moves, in a change of their own that lists them.
 """
 

@@ -5,12 +5,14 @@ per-round reference of the ledger search.  It must draw exactly what the two
 copies it replaced drew, and the exact backend's statevector iterations must
 sample the same law.  The ledger backend samples a whole search as one block
 of uniforms; its first-hit round and query totals must follow the law of the
-per-round loop.
+per-round loop.  Collection runs in lockstep on both backends, and its
+properties are checked on both.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
@@ -274,11 +276,14 @@ def masks_with_seeds(draw):
     return marked, seeds
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["ledger", "exact"])
 @settings(max_examples=100, deadline=None)
 @given(case=masks_with_seeds(), seed=st.integers(0, 2**32 - 1))
-def test_collect_finds_only_marked_and_keeps_its_seeds(case, seed):
+def test_collect_finds_only_marked_and_keeps_its_seeds(exact, case, seed):
     marked, seeds = case
-    found, saturated = grover_collect(marked, np.random.default_rng(seed), seed_found=seeds)
+    found, saturated = grover_collect(
+        marked, np.random.default_rng(seed), exact=exact, seed_found=seeds
+    )
     assert len(found) == len(saturated) == marked.shape[0]
     for row, got, known in zip(marked, found, seeds):
         assert set(known) <= set(got) <= set(np.flatnonzero(row))
@@ -301,18 +306,21 @@ def test_row_with_nothing_left_saturates_on_the_full_schedule(case, seed):
     assert led.get("pred") == int((np.floor(u[..., 0] * caps) + 1).sum())
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["ledger", "exact"])
 @settings(max_examples=150, deadline=None)
 @given(case=masks_with_seeds(), seed=st.integers(0, 2**32 - 1))
-def test_one_dimensional_call_is_the_one_row_case(case, seed):
+def test_one_dimensional_call_is_the_one_row_case(exact, case, seed):
     row, known = case[0][0], case[1][0]
     rngs = [np.random.default_rng(seed) for _ in range(4)]
     leds = [QueryLedger() for _ in range(4)]
-    y = grover_search(row, rngs[0], ledger=leds[0])
-    (y2,) = grover_search(row[None], rngs[1], ledger=leds[1])
+    y = grover_search(row, rngs[0], ledger=leds[0], exact=exact)
+    (y2,) = grover_search(row[None], rngs[1], ledger=leds[1], exact=exact)
     assert (y if y is not None else -1) == y2
-    got = grover_collect(row, rngs[2], ledger=leds[2], expected=len(known), seed_found=known)
+    got = grover_collect(
+        row, rngs[2], ledger=leds[2], exact=exact, expected=len(known), seed_found=known
+    )
     (found,), (sat,) = grover_collect(
-        row[None], rngs[3], ledger=leds[3], expected=[len(known)], seed_found=[known]
+        row[None], rngs[3], ledger=leds[3], exact=exact, expected=[len(known)], seed_found=[known]
     )
     assert got == (found, sat)
     assert leds[0].as_dict() == leds[1].as_dict() and leds[2].as_dict() == leds[3].as_dict()

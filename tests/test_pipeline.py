@@ -83,13 +83,10 @@ def test_distance_preparer_full_qpe_route():
     i, t = 0, 3
     diffs = ds.points[i] - ds.points[t]
 
-    def preparer():
-        sv = StateVector([("j", 2), ("anc", 1)])
-        prepare_uniform(sv, "j", ds.n)
-        controlled_value_rotation(sv, "j", "anc", diffs, scale=ds.c_norm)
-        return sv
-
-    op = grover_operator(preparer, ("anc", 0))
+    sv = StateVector([("j", 2), ("anc", 1)])
+    prepare_uniform(sv, "j", ds.n)
+    controlled_value_rotation(sv, "j", "anc", diffs, scale=ds.c_norm)
+    op = grover_operator(sv, ("anc", 0))
     pipe = QuantumLofPipeline(ds, cfg(k=2))
     assert op.amplitude == pytest.approx(pipe._pair_probabilities([i], [t])[0], abs=1e-12)
     pm = phase_distribution(op.matrix, op.psi, 6, method="materialized")
@@ -105,12 +102,13 @@ def test_rotation_shortcut_equals_value_register_pipeline():
     diffs = [0.1, 0.45, 0.3]  # |coordinate differences|, scale 0.5
     scale, w, f = 0.5, 6, 5
     bits = [encode(v, w, f).bits for v in diffs]
+    table = np.array(bits + [0])  # the padding value j = 3 writes 0
 
     full = StateVector([("j", 2), ("val", w), ("anc", 1)])
     prepare_uniform(full, "j", 3)
-    apply_oracle(full, lambda j: bits[j] if j < 3 else 0, "j", "val")
+    apply_oracle(full, table, "j", "val")
     controlled_value_rotation(full, "val", "anc", np.arange(1 << w) / (1 << f), scale=scale)
-    apply_oracle(full, lambda j: bits[j] if j < 3 else 0, "j", "val")
+    apply_oracle(full, table, "j", "val")
 
     short = StateVector([("j", 2), ("anc", 1)])
     prepare_uniform(short, "j", 3)
@@ -135,16 +133,14 @@ def test_fixed_point_ops_embed_as_permutation_unitaries():
     prepare_uniform(sv, "b", 1 << w)
     before = sv.amps.copy()
 
-    def add_bits(a, b):
-        return q_add(FixedPoint(a, w, f), FixedPoint(b, w, f)).bits
-
-    def max_bits(a, b):
-        return q_max(FixedPoint(a, w, f), FixedPoint(b, w, f)).bits
-
-    for fn in (add_bits, max_bits):
-        apply_oracle(sv, fn, ["a", "b"], "out")
+    for op in (q_add, q_max):
+        table = np.array(
+            [[op(FixedPoint(a, w, f), FixedPoint(b, w, f)).bits for b in range(1 << w)]
+             for a in range(1 << w)]
+        )
+        apply_oracle(sv, table, ["a", "b"], "out")
         sv.check_norm()
-        apply_oracle(sv, fn, ["a", "b"], "out")
+        apply_oracle(sv, table, ["a", "b"], "out")
         assert np.allclose(sv.amps, before)
 
 

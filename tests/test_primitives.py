@@ -78,19 +78,12 @@ def test_ae_via_qpe_distribution_identical():
     rng = np.random.default_rng(4)
     for a in (0.0, 0.2, 0.5, 0.83, 1.0):
         theta = math.asin(math.sqrt(a))
-
-        def prep(a=a):
-            from qlof.qsim import StateVector
-
-            sv = StateVector([("q", 1)])
-            th = math.asin(math.sqrt(a))
-            sv.amps = np.array([math.sin(th), math.cos(th)], dtype=complex)
-            return sv
-
-        op = grover_operator(prep, ("q", 0))
+        sv = StateVector([("q", 1)])
+        sv.amps = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
+        op = grover_operator(sv, ("q", 0))
         pm = phase_distribution(op.matrix, op.psi, 4, method="materialized")
         assert np.allclose(pm, ae_mixture(theta, 4), atol=1e-10)
-        est = amplitude_estimate_via_qpe(prep, ("q", 0), 4, rng)
+        est = amplitude_estimate_via_qpe(sv, ("q", 0), 4, rng)
         assert 0.0 <= est.a_hat <= 1.0
 
 
@@ -100,14 +93,10 @@ def test_ae_via_qpe_samples_an_exact_phase():
     rng = np.random.default_rng(8)
     for a in (0.0, 0.5, 1.0):
         theta = math.asin(math.sqrt(a))
-
-        def prep(theta=theta):
-            sv = StateVector([("q", 1)])
-            sv.amps = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
-            return sv
-
+        sv = StateVector([("q", 1)])
+        sv.amps = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
         for _ in range(10):
-            est = amplitude_estimate_via_qpe(prep, ("q", 0), 3, rng)
+            est = amplitude_estimate_via_qpe(sv, ("q", 0), 3, rng)
             assert est.theta_hat == pytest.approx(theta, abs=1e-12)
             assert est.queries == ae_queries(3)
 
@@ -221,26 +210,6 @@ def test_grover_collect_with_exclusion_and_seed():
     assert found2 == [2, 5, 11]
 
 
-def test_exact_collect_over_rows_equals_per_row_calls():
-    # The exact backend collects row by row, so the 2-D call draws what one
-    # call per row draws on the same stream.
-    marked = np.random.default_rng(11).random((4, 10)) < [[0.0], [0.2], [0.4], [1.0]]
-    expected = [0, 1, 5, 10]
-    seeds = [[], [], np.flatnonzero(marked[2])[:1].tolist(), [3]]
-    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
-    led, twin_led = QueryLedger(), QueryLedger()
-    found, saturated = grover_collect(
-        marked, rng, ledger=led, exact=True, expected=expected, seed_found=seeds
-    )
-    per_row = [
-        grover_collect(row, twin, ledger=twin_led, exact=True, expected=e, seed_found=s)
-        for row, e, s in zip(marked, expected, seeds)
-    ]
-    assert found == [f for f, _ in per_row] and saturated == [s for _, s in per_row]
-    assert led.as_dict() == twin_led.as_dict()
-    assert rng.random() == twin.random()
-
-
 # ---------------------------------------------------------------------------
 # Minimum finding
 # ---------------------------------------------------------------------------
@@ -301,9 +270,8 @@ def test_kth_smallest_matches_sort_oracle():
 
 def masked_min_searches(values, k, rng, boost, ledger, charge):
     """k-th smallest as k searches, each ``boost`` Durr-Hoyer passes over the
-    row with its found indices set to +inf and sorted afresh: the exclusion
-    that ``kth_smallest`` keeps by moving found indices to the end of one
-    sort order."""
+    row with its found indices set to +inf and sorted afresh, written out
+    with the scalar pass: the reference of the 2-D call's row loop."""
     budget = math.ceil(primitives.BUDGET * math.sqrt(values.size))
     excluded = np.zeros(values.size, dtype=bool)
     found, total, value = [], 0, math.nan

@@ -42,10 +42,10 @@ def test_apply_oracle_identity_and_not():
     sv = StateVector([("x", 2), ("y", 1)])
     prepare_uniform(sv, "x", 4)
     before = sv.amps.copy()
-    apply_oracle(sv, lambda x: 0, "x", "y")
+    apply_oracle(sv, np.zeros(4, dtype=int), "x", "y")
     assert np.allclose(sv.amps, before)
     # f = 1 with empty-ish input dependence acts as X on the out qubit
-    apply_oracle(sv, lambda x: 1, "x", "y")
+    apply_oracle(sv, np.ones(4, dtype=int), "x", "y")
     assert np.allclose(sv.probabilities("y"), [0.0, 1.0])
 
 
@@ -53,9 +53,9 @@ def test_apply_oracle_involution():
     sv = StateVector([("x", 3), ("out", 2)])
     prepare_uniform(sv, "x", 8)
     before = sv.amps.copy()
-    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out")
+    apply_oracle(sv, np.arange(8) * 3 % 4, "x", "out")
     assert not np.allclose(sv.amps, before)
-    apply_oracle(sv, lambda x: (x * 3) % 4, "x", "out")
+    apply_oracle(sv, np.arange(8) * 3 % 4, "x", "out")
     assert np.allclose(sv.amps, before)  # XOR semantics: applying twice restores
     sv.check_norm()
 
@@ -64,16 +64,22 @@ def test_apply_oracle_multi_input_and_overlap():
     sv = StateVector([("a", 2), ("b", 2), ("out", 3)])
     prepare_uniform(sv, "a", 4)
     prepare_uniform(sv, "b", 4)
-    apply_oracle(sv, lambda a, b: (a + b) % 8, ["a", "b"], "out")
+    # table[a, b]: one axis per input register, in the order given.
+    apply_oracle(sv, np.add.outer(np.arange(4), 2 * np.arange(4)) % 8, ["a", "b"], "out")
     sv.check_norm()
+    populated = np.abs(sv.amps) > 0
+    a, b, out = (sv.values(nm)[populated] for nm in ("a", "b", "out"))
+    assert populated.sum() == 16 and np.array_equal(out, (a + 2 * b) % 8)
     with pytest.raises(RegisterOverlapError):
-        apply_oracle(sv, lambda a: a, ["a"], "a")
+        apply_oracle(sv, np.arange(4), ["a"], "a")
 
 
 def test_apply_oracle_range_check():
     sv = StateVector([("x", 2), ("y", 1)])
     with pytest.raises(QsimError):
-        apply_oracle(sv, lambda x: 2, "x", "y")
+        apply_oracle(sv, np.full(4, 2), "x", "y")
+    with pytest.raises(QsimError):
+        apply_oracle(sv, np.zeros(2, dtype=int), "x", "y")  # does not cover x
 
 
 VALUES = np.arange(4.0)  # a value register read as the integer it holds
@@ -132,50 +138,47 @@ def test_rotation_requires_fresh_ancilla():
         controlled_value_rotation(sv, "v", "anc", VALUES, scale=2.0)
 
 
-def _amp_preparer(a: float):
+def _amp_state(a: float) -> StateVector:
+    """One qubit whose |0> branch has probability a."""
     theta = math.asin(math.sqrt(a))
-
-    def prepare() -> StateVector:
-        sv = StateVector([("q", 1)])
-        sv.amps = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
-        return sv
-
-    return prepare
+    sv = StateVector([("q", 1)])
+    sv.amps = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
+    return sv
 
 
 def test_grover_operator_eigenphases():
     # a = 1/2 -> eigenphases +-pi/2
-    op = grover_operator(_amp_preparer(0.5), ("q", 0))
+    op = grover_operator(_amp_state(0.5), ("q", 0))
     ev = np.sort(np.angle(np.linalg.eigvals(op.matrix)))
     assert np.allclose(ev, [-math.pi / 2, math.pi / 2], atol=1e-12)
     assert math.isclose(op.theta, math.pi / 4)
 
     # a = 0: identity on the prepared state
-    op0 = grover_operator(_amp_preparer(0.0), ("q", 0))
+    op0 = grover_operator(_amp_state(0.0), ("q", 0))
     assert np.allclose(op0.matrix @ op0.psi, op0.psi)
 
     # a = 1: eigenphase pi on the prepared state
-    op1 = grover_operator(_amp_preparer(1.0), ("q", 0))
+    op1 = grover_operator(_amp_state(1.0), ("q", 0))
     assert np.allclose(op1.matrix @ op1.psi, -op1.psi)
 
 
 def test_grover_operator_random_eigenphase_match():
     rng = np.random.default_rng(5)
     for a in rng.random(5):
-        op = grover_operator(_amp_preparer(float(a)), ("q", 0))
+        op = grover_operator(_amp_state(float(a)), ("q", 0))
         phases = np.sort(np.angle(np.linalg.eigvals(op.matrix)))
         assert np.allclose(phases, [-2 * op.theta, 2 * op.theta], atol=1e-10)
 
 
 def test_grover_squared_is_minus_identity_at_half():
-    op = grover_operator(_amp_preparer(0.5), ("q", 0))
+    op = grover_operator(_amp_state(0.5), ("q", 0))
     twice = op.matrix @ op.matrix @ op.psi
     assert np.allclose(twice, -op.psi, atol=1e-12)
 
 
 def test_grover_apply_matches_matrix():
     rng = np.random.default_rng(6)
-    op = grover_operator(_amp_preparer(0.3), ("q", 0))
+    op = grover_operator(_amp_state(0.3), ("q", 0))
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     # Q v = 2|psi><psi|F v> - F v with F = I - 2 P_good, the iteration the
     # exact Grover backend runs.
@@ -215,7 +218,7 @@ def test_phase_distribution_third_turn():
 def test_phase_paths_agree_on_grover_operators():
     rng = np.random.default_rng(7)
     for a in rng.random(6):
-        op = grover_operator(_amp_preparer(float(a)), ("q", 0))
+        op = grover_operator(_amp_state(float(a)), ("q", 0))
         for t in (3, 5):
             pm = phase_distribution(op.matrix, op.psi, t, method="materialized")
             pa = phase_distribution(op.matrix, op.psi, t, method="analytic")
