@@ -14,8 +14,8 @@ figures come from ``bench/run.py``; these isolate one primitive each:
 * one scalar ``amplitude_estimate`` of 3 repeats at t = 5 and t = 6, the
   counting and step-3 precisions of ``qlof scale`` and ``ledger-m256``, and
   the step-3 stage's one array call: 256 amplitudes at t = 6;
-* ``phase_distribution`` of a two-qubit Grover operator at t = 8 by both
-  methods: the materialized register and the eigenbasis sum;
+* ``phase_distribution`` of a two-qubit Grover operator at t = 8, the
+  materialized precision register of the statevector reference;
 * the step-1 distance stage of a ledger pipeline at m = 64 and at m = 256,
   the ``ledger-m256`` size (t = 10, 3 repeats): 32,640 pairs sampled in
   chunks from one stream;
@@ -93,14 +93,13 @@ def test_amplitude_estimate_array_t6(benchmark):
     assert est.a_hat.shape == (256,)
 
 
-@pytest.mark.parametrize("method", ["materialized", "analytic"])
-def test_phase_distribution(benchmark, method):
+def test_phase_distribution(benchmark):
     amps = np.random.default_rng(2).normal(size=4) + 0j
     amps /= np.linalg.norm(amps)
     sv = StateVector([("q", 2)])
     sv.amps = amps
     op = grover_operator(sv, ("q", 0))
-    probs = benchmark(phase_distribution, op.matrix, op.psi, 8, method=method)
+    probs = benchmark(phase_distribution, op.matrix, op.psi, 8)
     assert probs.sum() == pytest.approx(1.0)
 
 

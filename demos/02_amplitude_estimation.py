@@ -44,7 +44,7 @@ th = math.asin(math.sqrt(0.37))
 sv.amps = np.array([math.sin(th), math.cos(th)], dtype=complex)
 op = grover_operator(sv, ("q", 0))
 law = ae_mixture(op.theta, t=5)
-qpe = phase_distribution(op.matrix, op.psi, t=5, method="materialized")
+qpe = phase_distribution(op.matrix, op.psi, t=5)
 print(f"\nmax |law - statevector QPE| over all bins: {np.abs(law - qpe).max():.2e}")
 est = amplitude_estimate_via_qpe(sv, ("q", 0), t=5, rng=rng)
 print(f"one full-QPE estimate of a = 0.37: {est.a_hat:.4f}")

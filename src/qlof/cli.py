@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import BACKENDS, ConfigError, DataParseError, DegenerateDataError, RunConfig
-from .dataset import load_csv
+from .dataset import BACKENDS, MAX_AE_QUBITS, ConfigError, DataParseError, DegenerateDataError
+from .dataset import RunConfig, load_csv
 from .fixedpoint import FixedPointError, FixedPointOverflowError
 from .lof import LofReport, flag as classical_flag
 from .ledger import QueryLedger
@@ -286,8 +286,8 @@ def cmd_calibrate_ae(args: argparse.Namespace) -> int:
         t_list = [int(x) for x in args.t_list.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"bad --t-list {args.t_list!r}") from None
-    if not t_list or any(t < 1 for t in t_list):
-        raise ConfigError("t values must be >= 1")
+    if not t_list or any(not 1 <= t <= MAX_AE_QUBITS for t in t_list):
+        raise ConfigError(f"t values must lie in [1, {MAX_AE_QUBITS}]")
     if args.amplitudes < 1 or args.trials < 1:
         raise ConfigError("amplitudes and trials must be >= 1")
     lines = ["a_true,t,fraction_within_bound"]

@@ -140,6 +140,12 @@ def normalized_distance_matrix(ds: Dataset) -> np.ndarray:
 
 BACKENDS = ("exact", "ledger")
 
+# Largest amplitude-estimation precision register, in qubits.  A draw that
+# reaches the last stage of ``primitives.ae_outcomes`` evaluates the law over
+# all 2^t outcomes, about 49 bytes each: 49 MiB for one such draw at t = 20,
+# and 49 GiB at t = 30.
+MAX_AE_QUBITS = 20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -148,13 +154,14 @@ class RunConfig:
     The CLI derives one ``--flag`` per field (underscores become dashes,
     the type is that of the default) and the manifest's ``config`` block is
     the field dict.  ae_qubits_* are the precision-register sizes of the three
-    amplitude estimations (distance, neighbor count, outlier factor); the
-    corresponding angle errors are pi / 2**t.  ``backend`` selects full
-    statevector state preparation ("exact") or analytic outcome-law sampling
-    with query accounting only ("ledger").  ``min_boost`` is the number of
-    Durr-Hoyer passes per minimum search; each pass's query budget
-    (``primitives.BUDGET``) and each neighborhood's collection cap (its
-    count estimate plus two) are fixed, not knobs.
+    amplitude estimations (distance, neighbor count, outlier factor), each
+    at most ``MAX_AE_QUBITS``; the corresponding angle errors are pi / 2**t.
+    ``backend`` selects full statevector state preparation ("exact") or
+    analytic outcome-law sampling with query accounting only ("ledger").
+    ``min_boost`` is the number of Durr-Hoyer passes per minimum search;
+    each pass's query budget (``primitives.BUDGET``) and each
+    neighborhood's collection cap (its count estimate plus two) are fixed,
+    not knobs.
     """
 
     k: int = 3
@@ -181,8 +188,8 @@ class RunConfig:
                 f"need 1 <= fp_frac < fp_width, got ({self.fp_width}, {self.fp_frac})"
             )
         for name in ("ae_qubits_dist", "ae_qubits_count", "ae_qubits_lof"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= MAX_AE_QUBITS:
+                raise ConfigError(f"{name} outside [1, {MAX_AE_QUBITS}]")
         if self.ae_repeats < 1 or self.ae_repeats % 2 == 0:
             raise ConfigError("ae_repeats must be a positive odd integer")
         if self.backend not in BACKENDS:

@@ -11,10 +11,9 @@ pipeline composes:
   ancilla amplitude (linear or square-root mode),
 * Grover operators Q = (2|psi><psi| - I)(I - 2P_good) built from a prepared
   state, with eigenphases +-2*theta where sin^2(theta) = P(good),
-* the exact outcome distribution of phase estimation, either by
-  materializing the full precision register and applying the inverse QFT, or
-  analytically from the eigenstructure; both paths produce the same
-  distribution and are cross-checked in tests,
+* the exact outcome distribution of phase estimation, by materializing the
+  full precision register and applying the inverse QFT: the statevector
+  reference the amplitude-estimation law is checked against,
 * the amplitude-estimation outcome law: the kernel of one Grover eigenbranch
   at any outcomes, and the full law as the equal mixture of the two
   branches.
@@ -264,34 +263,12 @@ def grover_operator(sv: StateVector, good_flag: tuple[str, int]) -> GroverOperat
     return GroverOperator(sv.amps, sv.values(reg_name) == value)
 
 
-def pe_kernel(delta_turns: np.ndarray, t: int) -> np.ndarray:
-    """Exact t-qubit phase-estimation outcome probability at offset delta.
-
-    delta is the phase error in turns; the kernel is
-    sin^2(pi N delta) / (N^2 sin^2(pi delta)) with N = 2^t, equal to 1 in the
-    limit delta -> 0 (mod 1).
-    """
-    n = 1 << t
-    d = np.mod(np.asarray(delta_turns, dtype=float) + 0.5, 1.0) - 0.5
-    tiny = np.abs(np.sin(np.pi * d)) < 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.sin(np.pi * n * d) / (n * np.sin(np.pi * d))) ** 2
-    out[tiny] = 1.0
-    return out
-
-
-def phase_distribution(
-    u: np.ndarray,
-    psi0: np.ndarray,
-    t: int,
-    method: str = "auto",
-) -> np.ndarray:
+def phase_distribution(u: np.ndarray, psi0: np.ndarray, t: int) -> np.ndarray:
     """Exact outcome distribution of t-qubit phase estimation of U on psi0.
 
-    "materialized" builds the joint precision+system state and applies the
-    inverse QFT; "analytic" expands psi0 in U's eigenbasis and sums the
-    per-eigenphase kernels.  Both are exact and agree; "auto" materializes
-    when the joint register fits the simulator's qubit capacity.
+    Builds the joint precision+system state and applies the inverse QFT to
+    the precision register; raises :class:`CapacityError` when the joint
+    register exceeds the simulator's qubit capacity.
     """
     mat = np.asarray(u)
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -299,36 +276,19 @@ def phase_distribution(
     if mat.shape != (dim, dim):
         raise QsimError("unitary and state dimensions do not match")
     q = int(round(math.log2(dim)))
-    if method == "auto":
-        method = "materialized" if t + q <= DEFAULT_CAPACITY else "analytic"
-
+    if t + q > DEFAULT_CAPACITY:
+        raise CapacityError(
+            f"phase estimation needs {t + q} qubits, capacity is {DEFAULT_CAPACITY}"
+        )
     n = 1 << t
-    if method == "materialized":
-        if t + q > DEFAULT_CAPACITY:
-            raise CapacityError(
-                f"phase estimation needs {t + q} qubits, capacity is {DEFAULT_CAPACITY}"
-            )
-        # Joint state after the controlled powers: (1/sqrt(N)) sum_x |x> U^x |psi0>.
-        block = np.empty((n, dim), dtype=np.complex128)
-        block[0] = psi0 / math.sqrt(n)
-        for x in range(1, n):
-            block[x] = mat @ block[x - 1]
-        # Inverse QFT on the precision register: out[y] = sum_x e^{-2pi i xy/N} in[x] / sqrt(N)
-        block = np.fft.fft(block, axis=0) / math.sqrt(n)
-        probs = np.sum(np.abs(block) ** 2, axis=1)
-    elif method == "analytic":
-        import scipy.linalg  # about 26 MB and 0.3 s of import that only this path needs
-
-        tri, vecs = scipy.linalg.schur(mat, output="complex")
-        phases = np.mod(np.angle(np.diag(tri)) / (2.0 * math.pi), 1.0)
-        weights = np.abs(vecs.conj().T @ psi0) ** 2
-        ys = np.arange(n)
-        probs = np.zeros(n)
-        for w, om in zip(weights, phases):
-            if w > 1e-15:
-                probs += w * pe_kernel(om - ys / n, t)
-    else:
-        raise QsimError(f"unknown phase-estimation method {method!r}")
+    # Joint state after the controlled powers: (1/sqrt(N)) sum_x |x> U^x |psi0>.
+    block = np.empty((n, dim), dtype=np.complex128)
+    block[0] = psi0 / math.sqrt(n)
+    for x in range(1, n):
+        block[x] = mat @ block[x - 1]
+    # Inverse QFT on the precision register: out[y] = sum_x e^{-2pi i xy/N} in[x] / sqrt(N)
+    block = np.fft.fft(block, axis=0) / math.sqrt(n)
+    probs = np.sum(np.abs(block) ** 2, axis=1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise QsimError(f"phase distribution sums to {total}")
@@ -340,7 +300,8 @@ def ae_distribution(theta: float | np.ndarray, t: int, ys: np.ndarray) -> np.nda
     phase register on the Grover eigenbranch of eigenphase 2*theta,
     broadcast over ``theta`` and ``ys``.
 
-    This is :func:`pe_kernel` at phase error d = theta/pi - y/N, N = 2^t:
+    This is the t-qubit phase-estimation kernel at phase error
+    d = theta/pi - y/N, N = 2^t, in turns:
     sin^2(pi*N*d) / (N^2 sin^2(pi*d)), and 1 where sin(pi*d) vanishes, so
     on-grid angles need no special case.  The numerator is sin^2(N*theta)
     for every integer y, so it is evaluated once per angle, from the

@@ -26,7 +26,7 @@ from qlof.cli import (
     build_parser,
     main,
 )
-from qlof.dataset import RunConfig
+from qlof.dataset import MAX_AE_QUBITS, RunConfig
 from qlof.fixedpoint import FormatMismatchError
 from qlof.pipeline import QuantumLofPipeline
 from qlof.primitives import MinResult
@@ -346,26 +346,58 @@ def test_calibrate_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_ledger_compare_does_not_import_scipy_linalg(tmp_path):
-    # scipy.linalg costs about 27 MB and 0.3 s to import; only the analytic
-    # phase-estimation reference needs it.  A fresh interpreter, because the
-    # test run itself imports it.
+def test_compare_imports_no_scipy(tmp_path):
+    # NumPy is qlof's one run-time dependency; SciPy serves only the tests.
+    # A fresh interpreter, because the test run itself imports SciPy.  It
+    # runs a ledger compare and an exact compare, the two golden cases.
     src = str(Path(__file__).resolve().parent.parent / "src")
-    case = Path(__file__).resolve().parent / "data" / "golden" / "ledger-m48"
-    argv = ["compare", str(case / "data.csv"), *(case / "argv.txt").read_text().split()]
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    cases = ("ledger-m48", "exact-m12")
+    runs = [
+        ["compare", str(golden / c / "data.csv"), *(golden / c / "argv.txt").read_text().split(),
+         "--out", str(tmp_path / c)]
+        for c in cases
+    ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     script = (
         "import sys, qlof.cli\n"
-        f"code = qlof.cli.main({[*argv, '--out', str(tmp_path / 'o')]!r})\n"
-        "print(code, 'scipy.linalg' in sys.modules)\n"
+        f"codes = [qlof.cli.main(argv) for argv in {runs!r}]\n"
+        "print(*codes, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    code, imported = proc.stdout.split()
+    *codes, imported = proc.stdout.split()
     # Exit 6: the flag sets differ inside the error margin, a finished run.
-    assert int(code) in (EXIT_OK, EXIT_NEAR_THRESHOLD)
-    assert (tmp_path / "o" / "manifest.json").exists()
+    assert all(int(code) in (EXIT_OK, EXIT_NEAR_THRESHOLD) for code in codes)
+    for c in cases:
+        assert (tmp_path / c / "manifest.json").exists()
     assert imported == "False"
+
+
+@pytest.mark.parametrize("backend", ["exact", "ledger"])
+@pytest.mark.parametrize("knob", ["--ae-qubits-dist", "--ae-qubits-count", "--ae-qubits-lof"])
+def test_precision_past_the_bound_is_a_config_error(toy_csv, tmp_path, capsys, knob, backend):
+    # At t = 40 one draw of the outcome law would need terabytes: the run
+    # must stop at validation, before anything is allocated or written.  An
+    # escaped MemoryError would fail the test with its traceback.
+    name = knob[2:].replace("-", "_")
+    for t in (40, MAX_AE_QUBITS + 1):
+        argv = ["compare", str(toy_csv), "--k", "2", "--backend", backend, knob, str(t)]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [toy_csv]
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and name in err
+        assert "Traceback" not in err
+    RunConfig(k=2, **{name: MAX_AE_QUBITS}).validate(4)
+
+
+def test_calibrate_precision_past_the_bound_is_a_config_error(tmp_path, capsys):
+    argv = ["calibrate-ae", "--amplitudes", "2", "--trials", "2", "--out", str(tmp_path)]
+    assert main([*argv, "--t-list", "4,40"]) == EXIT_CONFIG
+    assert not (tmp_path / "calibrate.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
+    assert main([*argv, "--t-list", str(MAX_AE_QUBITS + 1)]) == EXIT_CONFIG

@@ -89,7 +89,7 @@ def test_distance_preparer_full_qpe_route():
     op = grover_operator(sv, ("anc", 0))
     pipe = QuantumLofPipeline(ds, cfg(k=2))
     assert op.amplitude == pytest.approx(pipe._pair_probabilities([i], [t])[0], abs=1e-12)
-    pm = phase_distribution(op.matrix, op.psi, 6, method="materialized")
+    pm = phase_distribution(op.matrix, op.psi, 6)
     assert np.allclose(pm, ae_mixture(op.theta, 6), atol=1e-10)
 
 
@@ -448,6 +448,23 @@ def test_exact_and_ledger_backends_agree_on_flags():
     assert a["flagged_quantum"] == b["flagged_quantum"] == [3]
     for pa, pb in zip(a["points"], b["points"]):
         assert abs(pa["lof_quantum"] - pb["lof_quantum"]) <= 2 * a["error_budget"]["total_bound"]
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_exact_and_ledger_runs_write_the_same_manifest(case):
+    # The backends sample the same laws on one stream layout, so a compare
+    # at the defaults on up to 16 random points writes the same manifest on
+    # both, warnings and estimates included, apart from the backend's name
+    # and the query ledger.
+    rng = np.random.default_rng(case)
+    m, n = int(rng.integers(6, 17)), int(rng.integers(1, 5))
+    ds = random_dataset(m, n, rng)
+    manifests = []
+    for backend in ("exact", "ledger"):
+        man = QuantumLofPipeline(ds, RunConfig(backend=backend, seed=case)).run()
+        del man["ledger"], man["ledger_step_totals"], man["config"]["backend"]
+        manifests.append(json.dumps(man, sort_keys=True))
+    assert manifests[0] == manifests[1]
 
 
 def test_monotone_precision():

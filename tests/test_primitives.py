@@ -81,7 +81,7 @@ def test_ae_via_qpe_distribution_identical():
         sv = StateVector([("q", 1)])
         sv.amps = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
         op = grover_operator(sv, ("q", 0))
-        pm = phase_distribution(op.matrix, op.psi, 4, method="materialized")
+        pm = phase_distribution(op.matrix, op.psi, 4)
         assert np.allclose(pm, ae_mixture(theta, 4), atol=1e-10)
         est = amplitude_estimate_via_qpe(sv, ("q", 0), 4, rng)
         assert 0.0 <= est.a_hat <= 1.0
@@ -208,6 +208,15 @@ def test_grover_collect_with_exclusion_and_seed():
     assert found == [2, 5, 11] and saturated
     found2, _ = grover_collect(marked, rng, expected=3, seed_found=[2, 5])
     assert found2 == [2, 5, 11]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["ledger", "exact"])
+def test_grover_collect_stops_at_the_count_estimate_plus_two(exact):
+    # Every index marked and an estimate of 3: each invocation finds a new
+    # one, so the cap of 3 + 2 invocations alone ends the collection.
+    rng = np.random.default_rng(23)
+    found, saturated = grover_collect(np.ones(64, dtype=bool), rng, exact=exact, expected=3)
+    assert len(found) == 5 and len(set(found)) == 5 and not saturated
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +401,15 @@ def test_count_exact_phase_half():
     for _ in range(100):
         ce = quantum_count(np.array([True, False, False, True]), 3, rng)
         assert ce.count == 2 and abs(ce.raw - 2.0) < 1e-9
+
+
+def test_counting_tolerance_at_the_extreme_counts():
+    # With nothing or everything marked the sqrt term vanishes; the rest is
+    # the second-order term pi^2 m / 4^t.
+    for m, t in ((8, 5), (255, 5), (1000, 8)):
+        second_order = math.pi**2 * m / 4**t
+        for true_n in (0, m):
+            assert counting_tolerance(m, true_n, t) == pytest.approx(second_order, rel=1e-12)
 
 
 def test_count_contract_generic():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from phase_kernel import pe_kernel
 
 from qlof.qsim import (
     CapacityError,
@@ -13,7 +14,6 @@ from qlof.qsim import (
     apply_oracle,
     controlled_value_rotation,
     grover_operator,
-    pe_kernel,
     phase_distribution,
     prepare_uniform,
 )
@@ -199,36 +199,47 @@ def test_phase_distribution_exact_phases():
     # Eigenphase 0 -> y = 0 always.
     u = np.eye(2, dtype=complex)
     psi = np.array([1.0, 0.0], dtype=complex)
-    p = phase_distribution(u, psi, 3, method="materialized")
+    p = phase_distribution(u, psi, 3)
     assert math.isclose(p[0], 1.0, abs_tol=1e-12)
     # Eigenphase pi -> y = 4 at t = 3.
     u = np.diag([-1.0 + 0j, 1.0])
-    p = phase_distribution(u, psi, 3, method="materialized")
+    p = phase_distribution(u, psi, 3)
     assert math.isclose(p[4], 1.0, abs_tol=1e-12)
 
 
 def test_phase_distribution_third_turn():
     u = np.diag([np.exp(2j * np.pi / 3), 1.0])
     psi = np.array([1.0, 0.0], dtype=complex)
-    p = phase_distribution(u, psi, 5, method="materialized")
+    p = phase_distribution(u, psi, 5)
     assert int(np.argmax(p)) == 11  # round(32/3)
     assert p[10] + p[11] >= 8 / math.pi**2
 
 
 def test_phase_paths_agree_on_grover_operators():
+    # Statevector phase estimation of a Grover operator is the closed-form
+    # amplitude-estimation law, bin for bin.
     rng = np.random.default_rng(7)
     for a in rng.random(6):
         op = grover_operator(_amp_state(float(a)), ("q", 0))
         for t in (3, 5):
-            pm = phase_distribution(op.matrix, op.psi, t, method="materialized")
-            pa = phase_distribution(op.matrix, op.psi, t, method="analytic")
-            pl = ae_mixture(op.theta, t)
-            assert np.allclose(pm, pa, atol=1e-10)
-            assert np.allclose(pm, pl, atol=1e-10)
+            pm = phase_distribution(op.matrix, op.psi, t)
+            assert np.allclose(pm, ae_mixture(op.theta, t), atol=1e-10)
+
+
+def eigenbasis_law(u, psi0, t):
+    """Phase estimation of U on psi0 as the sum of psi0's eigenbasis weights
+    times the kernel at each eigenphase: an independent reference."""
+    phases, vecs = np.linalg.eig(u)
+    # Distinct eigenvalues, as a random unitary has: the unit eigenvectors
+    # are then orthonormal, and the weights are psi0's squared projections.
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(len(phases)), atol=1e-10)
+    turns = np.mod(np.angle(phases) / (2.0 * math.pi), 1.0)
+    weights = np.abs(vecs.conj().T @ psi0) ** 2
+    ys = np.arange(1 << t) / (1 << t)
+    return sum(w * pe_kernel(om - ys, t) for w, om in zip(weights, turns))
 
 
 def test_phase_paths_agree_on_random_unitaries():
-    # Degenerate or not, the Schur-based path must match the materialized one.
     rng = np.random.default_rng(17)
     for _ in range(4):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -236,16 +247,14 @@ def test_phase_paths_agree_on_random_unitaries():
         psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi0 /= np.linalg.norm(psi0)
         for t in (3, 5):
-            pm = phase_distribution(u, psi0, t, method="materialized")
-            pa = phase_distribution(u, psi0, t, method="analytic")
-            assert np.allclose(pm, pa, atol=1e-9)
+            pm = phase_distribution(u, psi0, t)
+            assert np.allclose(pm, eigenbasis_law(u, psi0, t), atol=1e-9)
 
 
 def test_phase_estimate_capacity_guard():
     u = np.eye(2, dtype=complex)
     psi = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(CapacityError):
-        phase_distribution(u, psi, 16, method="materialized")
-    # auto falls back to the analytic path
-    p = phase_distribution(u, psi, 16, method="auto")
+    p = phase_distribution(u, psi, 15)  # 16 qubits: exactly the capacity
     assert math.isclose(p[0], 1.0, abs_tol=1e-9)
+    with pytest.raises(CapacityError):
+        phase_distribution(u, psi, 16)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from phase_kernel import pe_kernel
 from scipy.stats import chisquare
 
 from qlof import primitives
@@ -25,7 +26,7 @@ from qlof.fixedpoint import q_div
 from qlof.ledger import QueryLedger
 from qlof.pipeline import _STREAM_COUNT, _STREAM_DIST, _STREAM_LOF, QuantumLofPipeline
 from qlof.primitives import ae_outcomes, amplitude_estimate, quantum_count
-from qlof.qsim import ae_distribution, ae_mixture, pe_kernel
+from qlof.qsim import ae_distribution, ae_mixture
 from qlof.synthetic import gaussian_clusters, random_dataset
 
 MIDPOINTS = 1 << 18
