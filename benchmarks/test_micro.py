@@ -14,8 +14,6 @@ figures come from ``bench/run.py``; these isolate one primitive each:
 * one scalar ``amplitude_estimate`` of 3 repeats at t = 5 and t = 6, the
   counting and step-3 precisions of ``qlof scale`` and ``ledger-m256``, and
   the step-3 stage's one array call: 256 amplitudes at t = 6;
-* ``phase_distribution`` of a two-qubit Grover operator at t = 8, the
-  materialized precision register of the statevector reference;
 * the step-1 distance stage of a ledger pipeline at m = 64 and at m = 256,
   the ``ledger-m256`` size (t = 10, 3 repeats): 32,640 pairs sampled in
   chunks from one stream;
@@ -52,13 +50,7 @@ from qlof.primitives import (
     kth_smallest,
     quantum_count,
 )
-from qlof.qsim import (
-    StateVector,
-    controlled_value_rotation,
-    grover_operator,
-    phase_distribution,
-    prepare_uniform,
-)
+from qlof.qsim import StateVector, controlled_value_rotation, prepare_uniform
 from qlof.synthetic import gaussian_clusters
 
 REPEATS = 3
@@ -91,16 +83,6 @@ def test_amplitude_estimate_array_t6(benchmark):
     rng = np.random.default_rng(1)
     est = benchmark(amplitude_estimate, a, 6, rng, repeats=REPEATS)
     assert est.a_hat.shape == (256,)
-
-
-def test_phase_distribution(benchmark):
-    amps = np.random.default_rng(2).normal(size=4) + 0j
-    amps /= np.linalg.norm(amps)
-    sv = StateVector([("q", 2)])
-    sv.amps = amps
-    op = grover_operator(sv, ("q", 0))
-    probs = benchmark(phase_distribution, op.matrix, op.psi, 8)
-    assert probs.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("m, rounds", [(64, 5), (256, 3)])

@@ -38,14 +38,13 @@ from .primitives import (
     AmplitudeEstimate,
     CountEstimate,
     amplitude_estimate,
-    amplitude_estimate_via_qpe,
     grover_collect,
     grover_search,
     kth_smallest,
     quantum_count,
     quantum_min,
 )
-from .qsim import CapacityError, GroverOperator, StateVector, grover_operator
+from .qsim import CapacityError, StateVector
 from .synthetic import gaussian_clusters, random_dataset
 
 __version__ = "0.1.0"

@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (DataParseError, OSError) as exc:
+    except (DataParseError, OSError, UnicodeDecodeError) as exc:  # a file not in UTF-8
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CapacityError as exc:

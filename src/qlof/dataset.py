@@ -55,8 +55,9 @@ class Dataset:
 def from_points(points: np.ndarray) -> Dataset:
     """Validate a raw matrix and compute c_norm.
 
-    Requires m >= 2, n >= 1, all entries finite, and at least two distinct
-    points (otherwise every distance is 0 and no scale exists).
+    Requires m >= 2, n >= 1, all entries finite, at least two distinct
+    points (otherwise every distance is 0 and no scale exists), and squared
+    distances that stay finite.
     """
     pts = np.array(points, dtype=float, copy=True)
     if pts.ndim != 2:
@@ -70,9 +71,12 @@ def from_points(points: np.ndarray) -> Dataset:
         bad = np.argwhere(~np.isfinite(pts))[0]
         raise DataParseError(f"non-finite value at row {bad[0]}, column {bad[1]}")
     # Max |x_j^i - x_j^t| over i, t, j = the largest per-coordinate range.
-    c = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    with np.errstate(over="ignore"):
+        c = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     if c <= 0.0:
         raise DegenerateDataError("all points are identical; no distance scale")
+    if not math.isfinite(n * c * c):  # the largest squared distance
+        raise DataParseError(f"coordinate range {c} is too wide: squared distances overflow")
     pts.setflags(write=False)
     return Dataset(points=pts, c_norm=c)
 

@@ -23,9 +23,6 @@ windows around the outcome law's peak: the peak's two outcomes place most
 draws, each later stage takes only the draws left over, and only the rare
 draw past a 512-outcome window touches the whole 2^t-outcome law, so the
 cost hardly grows with t.
-The one exception is the statevector reference
-:func:`amplitude_estimate_via_qpe`, which builds the Grover operator of a
-prepared state and samples its phase-estimation distribution.
 
 The search primitives take the oracle's truth table as an array: a boolean
 ``marked`` mask for predicates, a float ``values`` array for value oracles;
@@ -63,12 +60,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ledger import QueryLedger
-from .qsim import (
-    StateVector,
-    ae_distribution,
-    grover_operator,
-    phase_distribution,
-)
+from .qsim import ae_distribution
 
 GROWTH = 6.0 / 5.0  # BBHT schedule factor
 EXTRA_ROUNDS = 60  # rounds allowed after the schedule saturates at sqrt(m)
@@ -111,7 +103,7 @@ def ae_outcomes(thetas: Sequence[float] | np.ndarray, t: int, u: np.ndarray) -> 
     """Sample amplitude-estimation outcomes for a block of angles.
 
     Entry (b, r) of the result is the outcome in [0, 2^t) that the uniform
-    ``u[b, r]`` draws from the law :func:`~qlof.qsim.ae_mixture` of
+    ``u[b, r]`` draws from the amplitude-estimation outcome law of
     ``thetas[b]``, and depends on that angle and uniform alone.  The law is
     an equal mixture of the Fejer kernels of the Grover eigenbranches at
     +-theta (Brassard-Hoyer-Mosca-Tapp 2002): u >= 1/2 picks the -theta
@@ -214,23 +206,6 @@ def amplitude_estimate(
     else:
         theta_hat, a_hat = theta_hat.reshape(a.shape), a_hat.reshape(a.shape)
     return AmplitudeEstimate(theta_hat, a_hat, ae_queries(t, repeats))
-
-
-def amplitude_estimate_via_qpe(
-    sv: StateVector,
-    good_flag: tuple[str, int],
-    t: int,
-    rng: np.random.Generator,
-) -> AmplitudeEstimate:
-    """Full statevector route: build the Grover operator of the prepared
-    state ``sv`` and sample one outcome of its phase estimation.
-    Distribution-identical to :func:`amplitude_estimate` at one repeat; the
-    reference the outcome law is checked against, also shown in a demo.
-    """
-    op = grover_operator(sv, good_flag)
-    ys = rng.choice(1 << t, size=1, p=phase_distribution(op.matrix, op.psi, t))
-    theta_hat = math.pi * int(folded_median(ys, t)) / (1 << t)
-    return AmplitudeEstimate(theta_hat, math.sin(theta_hat) ** 2, ae_queries(t, 1))
 
 
 # ---------------------------------------------------------------------------

